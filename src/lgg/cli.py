@@ -2,28 +2,26 @@
 
 Subcommands: ``construct grid|path|fan|cycle|ladder``, ``verify``,
 ``extremal``, ``indepset``, ``scaling``, ``emit-svg``.  Exit status 0 on
-success, 1 on invariant violations (an invalid graph under ``verify``,
-a failed construction), 2 on usage or parse errors.
+success, 1 on invariant violations (an invalid graph under ``verify`` or
+``indepset``, a failed construction, too many points for ``extremal``),
+2 on usage or parse errors.
 
-The ``scaling`` command runs grid builds for several sides, possibly in
-parallel (``LGG_THREADS`` bounds the worker count, 0 or unset means auto),
-and emits a CSV with a trailing log-log fit line.
+The ``scaling`` command runs grid builds for several sides, one after
+another, and emits a CSV with a trailing log-log fit line.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import convex, grid, io
 from .extremal import max_lgg
 from .graph import verify
-from .independence import independent_set
+from .independence import InvariantViolation, independent_set
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,20 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _grid_params(side: int, args: argparse.Namespace) -> grid.GridParams:
+    """Grid parameters from the command line; a bad value is a usage error."""
+    try:
+        return grid.GridParams(
+            g=side, theta0=args.theta0, c1=args.c1, mode=grid.Mode(args.mode)
+        )
+    except ValueError as exc:
+        raise io.FormatError(f"bad grid parameters for --side {side}: {exc}") from exc
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "grid":
-        params = grid.GridParams(
-            g=args.side, theta0=args.theta0, c1=args.c1, mode=grid.Mode(args.mode)
-        )
-        g, stats = grid.build(params)
+        g, stats = grid.build(_grid_params(args.side, args))
         meta = {
             "generator": "grid",
             "parameters": {
@@ -143,24 +148,17 @@ def _cmd_indepset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sample(side: int, mode: str, theta0: float, c1: float):
-    params = grid.GridParams(g=side, theta0=theta0, c1=c1, mode=grid.Mode(mode))
-    g, stats = grid.build(params)
-    return side, ScalingSample(g.n, stats.total_edges)
-
-
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    sides = sorted({int(s) for s in args.sides.split(",") if s.strip()})
+    try:
+        sides = sorted({int(s) for s in args.sides.split(",") if s.strip()})
+    except ValueError as exc:
+        raise io.FormatError(f"--sides expects integers: {exc}") from exc
     if len(sides) < 2:
         raise io.FormatError("scaling needs at least two grid sides")
-    workers = int(os.environ.get("LGG_THREADS", "0")) or None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(
-            pool.map(
-                lambda s: _build_sample(s, args.mode, args.theta0, args.c1), sides
-            )
-        )
-    rows.sort()
+    rows = []
+    for side in sides:
+        g, stats = grid.build(_grid_params(side, args))
+        rows.append((side, ScalingSample(g.n, stats.total_edges)))
     fit = fit_exponent([sample for _, sample in rows])
     lines = ["g,n,edges,edges_per_n"]
     for side, s in rows:
@@ -181,6 +179,8 @@ def _cmd_emit_svg(args: argparse.Namespace) -> int:
             i, j = (int(t) for t in args.disk.split(","))
         except ValueError as exc:
             raise io.FormatError(f"--disk expects 'i,j': {exc}") from exc
+        if not (0 <= i < g.n and 0 <= j < g.n):
+            raise io.FormatError(f"--disk {i},{j}: no such vertex in {g.n} points")
         disk = (i, j)
     _write_out(io.graph_to_svg(g, args.width, disk), args.output)
     return 0
@@ -197,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cg = kinds.add_parser("grid", help="dense grid construction")
     cg.add_argument("--side", type=int, required=True, help="grid side g (n = g*g)")
-    cg.add_argument("--mode", choices=["greedy", "analysis"], default="greedy")
-    cg.add_argument("--theta0", type=float, default=1.74e-3)
-    cg.add_argument("--c1", type=float, default=1.01)
 
     cp = kinds.add_parser("path", help="path on a strictly monotonic set")
     cp.add_argument("--points", required=True, help="points CSV file")
@@ -229,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scaling", help="edge counts and log-log fit over grid sizes")
     s.add_argument("--sides", required=True, help="comma-separated grid sides")
-    s.add_argument("--mode", choices=["greedy", "analysis"], default="greedy")
-    s.add_argument("--theta0", type=float, default=1.74e-3)
-    s.add_argument("--c1", type=float, default=1.01)
     s.add_argument("-o", "--output", default=None)
+    for k in (cg, s):
+        k.add_argument("--mode", choices=["greedy", "analysis"], default="greedy")
+        k.add_argument("--theta0", type=float, default=1.74e-3)
+        k.add_argument("--c1", type=float, default=1.01)
 
     g = sub.add_parser("emit-svg", help="render a graph to static SVG")
     g.add_argument("graph")
@@ -261,7 +259,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (io.FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (convex.ConstructionError, grid.GridConstructionError, ValueError) as exc:
+    except (grid.GridConstructionError, InvariantViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

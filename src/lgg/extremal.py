@@ -10,6 +10,7 @@ greedy clique-cover upper bound.  Adjacency is kept in bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .geometry import PointSet, edges_conflict
 from .graph import Graph, candidate_edges, verify
@@ -49,23 +50,13 @@ def build_conflict_graph(ps: PointSet) -> ConflictGraph:
     if n > MAX_POINTS:
         raise SizeError(f"exact search capped at {MAX_POINTS} points, got {n}")
     cands = candidate_edges(n)
-    m = len(cands)
-    adj = [0] * m
-    for a in range(m):
-        i, j = cands[a]
-        for b in range(a + 1, m):
-            k, l = cands[b]
-            # only candidates sharing an endpoint can conflict
-            if i == k:
-                hit = edges_conflict(ps[i], ps[j], ps[l])
-            elif j == k or j == l:
-                shared = j
-                other_a = i
-                other_b = l if j == k else k
-                hit = edges_conflict(ps[shared], ps[other_a], ps[other_b])
-            else:
-                continue
-            if hit:
+    index = {e: a for a, e in enumerate(cands)}
+    adj = [0] * len(cands)
+    # only candidates sharing an endpoint s can conflict
+    for s in range(n):
+        for q, r in combinations([t for t in range(n) if t != s], 2):
+            if edges_conflict(ps[s], ps[q], ps[r]):
+                a, b = index[min(s, q), max(s, q)], index[min(s, r), max(s, r)]
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return ConflictGraph(ps, tuple(cands), tuple(adj))

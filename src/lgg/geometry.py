@@ -9,7 +9,8 @@ The central predicate is the diametral-disk test: a point ``r`` lies in the
 closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``.
 Two edges sharing an endpoint ``p`` conflict iff one of the other endpoints
 lies in the closed diametral disk of the other edge; conflicting edges
-cannot coexist in a locally Gabriel graph.
+cannot coexist in a locally Gabriel graph.  ``outside_disk`` is the one
+definition of this test; every scalar and vectorised caller goes through it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-#: Exact integer coordinates are bounded so that the dot products used by
-#: the predicates stay well inside 64-bit signed range.
+import numpy as np
+
+#: Exact integer coordinates are bounded so that the predicates' dot products
+#: fit int64: differences are at most 2**31 per axis, and for p != q one
+#: factor of a . b is at most 2**31 - 1, so |a . b| <= 2**63 - 2**31.
 MAX_EXACT_COORD = 2**30
 
 INTERIOR = "interior"
@@ -64,8 +68,10 @@ class Point:
                 raise CoordinateKindError(
                     f"coordinates must be int or float, got {type(self.x)}"
                 )
-            if self.eps < 0.0:
-                raise ValueError("eps must be nonnegative")
+            if not (math.isfinite(self.x) and math.isfinite(self.y)):
+                raise ValueError(f"non-finite coordinate ({self.x!r}, {self.y!r})")
+            if not 0.0 <= self.eps < math.inf:
+                raise ValueError("eps must be finite and nonnegative")
 
     @property
     def is_exact(self) -> bool:
@@ -74,21 +80,22 @@ class Point:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered sequence of distinct points of one coordinate kind."""
+    """An ordered sequence of distinct points of one coordinate kind and eps."""
 
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("point set must be nonempty")
-        kinds = {p.is_exact for p in self.points}
-        if len(kinds) > 1:
+        if len({p.is_exact for p in self.points}) > 1:
             raise CoordinateKindError("point set mixes exact and real points")
+        if len({p.eps for p in self.points}) > 1:
+            raise ValueError("point set mixes tolerances eps")
         seen = set()
-        for p in self.points:
+        for i, p in enumerate(self.points):
             key = (p.x, p.y)
             if key in seen:
-                raise ValueError(f"duplicate point {key}")
+                raise ValueError(f"point {i} duplicates an earlier point {key}")
             seen.add(key)
 
     @classmethod
@@ -110,13 +117,36 @@ class PointSet:
 
     @property
     def eps(self) -> float:
-        return max(p.eps for p in self.points)
+        return self.points[0].eps
 
     def xs(self) -> list:
         return [p.x for p in self.points]
 
     def ys(self) -> list:
         return [p.y for p in self.points]
+
+
+def coord_arrays(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate arrays on which ``outside_disk`` decides as on the points.
+
+    int64 for integer points (exact by the ``MAX_EXACT_COORD`` bound on
+    distinct points), float64 for real points.
+    """
+    dtype = np.int64 if ps.is_exact else np.float64
+    return np.array(ps.xs(), dtype=dtype), np.array(ps.ys(), dtype=dtype)
+
+
+def outside_disk(ax, ay, bx, by, eps: float = 0.0):
+    """Whether ``r`` lies strictly outside the closed disk on diameter ``pq``.
+
+    ``a = p - r``, ``b = q - r``; the test is ``a . b > eps * (|a| * |b|)``
+    (``a . b > 0`` when ``eps == 0``).  Only arithmetic and ``np.sqrt``, so
+    Python numbers and int64 or float64 arrays decide bit for bit alike.
+    """
+    dot = ax * bx + ay * by
+    if not eps:
+        return dot > 0
+    return dot > eps * (np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by))
 
 
 def _check_kinds(*pts: Point) -> None:
@@ -143,15 +173,11 @@ def disk_side(p: Point, q: Point, r: Point) -> int:
         raise ValueError("query point coincides with a disk endpoint")
     ax, ay = p.x - r.x, p.y - r.y
     bx, by = q.x - r.x, q.y - r.y
-    dot = ax * bx + ay * by
-    if p.is_exact:
-        return (dot > 0) - (dot < 0)
-    tol = max(p.eps, q.eps, r.eps) * math.hypot(ax, ay) * math.hypot(bx, by)
-    if dot > tol:
+    eps = max(p.eps, q.eps, r.eps)
+    if outside_disk(ax, ay, bx, by, eps):
         return 1
-    if dot < -tol:
-        return -1
-    return 0
+    # negating a is exact, so this is the mirror test a . b < -band
+    return -1 if outside_disk(-ax, -ay, bx, by, eps) else 0
 
 
 def in_closed_disk(p: Point, q: Point, r: Point) -> bool:

@@ -3,17 +3,25 @@
 A graph is valid (locally Gabriel) when no edge's closed diametral disk
 contains a neighbor of either endpoint.  ``verify`` checks the equivalent
 per-vertex formulation (every pair of edges at a shared vertex is
-conflict-free); ``verify_direct`` checks the per-edge disk definition
-literally.  The two must agree on every input and tests hold them to that.
+conflict-free) in one vectorised pass; ``verify_direct`` checks the
+per-edge disk definition literally with the scalar predicates.  The two
+must agree on every input and tests hold them to that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .geometry import BOUNDARY, INTERIOR, PointSet, conflict_kind
+from .geometry import (
+    PointSet,
+    conflict_kind,
+    coord_arrays,
+    in_closed_disk,
+    outside_disk,
+)
 
 
 class GraphError(ValueError):
@@ -35,12 +43,12 @@ class Graph:
     def __post_init__(self) -> None:
         n = len(self.points)
         canon = []
-        for e in self.edges:
+        for k, e in enumerate(self.edges):
             i, j = e
             if i == j:
-                raise GraphError(f"self-loop at vertex {i}")
+                raise GraphError(f"edge {k}: self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"edge {e} out of range for {n} points")
+                raise GraphError(f"edge {k}: {e} out of range for {n} points")
             canon.append((i, j) if i < j else (j, i))
         canon.sort()
         for a, b in zip(canon, canon[1:]):
@@ -59,23 +67,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
-
-    def without_edges(self, drop) -> "Graph":
-        dropped = {(min(i, j), max(i, j)) for i, j in drop}
-        return Graph(self.points, tuple(e for e in self.edges if e not in dropped))
-
-    def induced(self, vertices) -> tuple["Graph", list[int]]:
-        """Induced subgraph; returns it with the old-index list (new -> old)."""
-        keep = sorted(set(vertices))
-        remap = {old: new for new, old in enumerate(keep)}
-        pts = PointSet(tuple(self.points[v] for v in keep))
-        edges = tuple(
-            (remap[i], remap[j]) for i, j in self.edges if i in remap and j in remap
-        )
-        return Graph(pts, edges), keep
 
 
 @dataclass(frozen=True)
@@ -97,48 +88,49 @@ class ConflictReport:
         return not self.violations
 
 
-def _violation(pts: PointSet, u: int, v: int, w: int) -> Violation | None:
-    v, w = (v, w) if v < w else (w, v)
-    kind = conflict_kind(pts[u], pts[v], pts[w])
-    if kind is None:
-        return None
-    return Violation(u, v, w, kind)
+# Neighbor pairs per vectorised step of ``verify``; bounds its temporaries.
+_VERIFY_CHUNK = 1 << 12
 
 
 def verify(g: Graph) -> ConflictReport:
     """All conflicting neighbor pairs, one record per (u, {v, w}).
 
-    Cost is quadratic in vertex degrees.  Uses an inlined exact fast path
-    for integer point sets.
+    One vectorised pass, quadratic in vertex degrees: vertices are grouped
+    by degree d, their neighbor pairs come from ``triu_indices(d, 1)``, and
+    both disk tests run on bounded chunks of those pairs.
     """
-    pts = g.points
-    out: list[Violation] = []
-    if pts.is_exact:
-        xs, ys = pts.xs(), pts.ys()
-        for u, nbrs in enumerate(g.adjacency):
-            ux, uy = xs[u], ys[u]
-            m = len(nbrs)
-            for a in range(m):
-                v = nbrs[a]
-                vx, vy = xs[v], ys[v]
-                for b in range(a + 1, m):
-                    w = nbrs[b]
-                    wx, wy = xs[w], ys[w]
-                    s1 = (ux - wx) * (vx - wx) + (uy - wy) * (vy - wy)
-                    s2 = (ux - vx) * (wx - vx) + (uy - vy) * (wy - vy)
-                    if s1 <= 0 or s2 <= 0:
-                        kind = INTERIOR if (s1 < 0 or s2 < 0) else BOUNDARY
-                        out.append(Violation(u, v, w, kind))
-    else:
-        for u, nbrs in enumerate(g.adjacency):
-            m = len(nbrs)
-            for a in range(m):
-                for b in range(a + 1, m):
-                    rec = _violation(pts, u, nbrs[a], nbrs[b])
-                    if rec is not None:
-                        out.append(rec)
-    out.sort(key=lambda r: (r.u, r.v, r.w))
-    return ConflictReport(tuple(out))
+    xs, ys = coord_arrays(g.points)
+    eps = g.points.eps
+    adj = g.adjacency
+    deg = np.fromiter(map(len, adj), dtype=np.intp, count=g.n)
+    found: list[tuple[int, int, int]] = []
+    for d in np.unique(deg[deg >= 2]).tolist():
+        ia, ib = np.triu_indices(d, 1)
+        verts = np.flatnonzero(deg == d)
+        step = max(1, _VERIFY_CHUNK // len(ia))
+        for lo in range(0, len(verts), step):
+            rows = verts[lo : lo + step]
+            flat = chain.from_iterable(map(adj.__getitem__, rows.tolist()))
+            nbrs = np.fromiter(flat, np.intp, len(rows) * d).reshape(-1, d)
+            u = np.repeat(rows, len(ia))
+            v, w = nbrs[:, ia].ravel(), nbrs[:, ib].ravel()
+            xu, yu, xv, yv, xw, yw = xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
+            # w outside the disk on uv, and v outside the disk on uw
+            ok = outside_disk(xu - xw, yu - yw, xv - xw, yv - yw, eps)
+            ok &= outside_disk(xu - xv, yu - yv, xw - xv, yw - yv, eps)
+            bad = np.flatnonzero(~ok)
+            found += zip(u[bad].tolist(), v[bad].tolist(), w[bad].tolist())
+    return _report(g.points, found)
+
+
+def _report(pts: PointSet, triples) -> ConflictReport:
+    """Sorted violations of the conflicting triples (u, v, w), v < w."""
+    return ConflictReport(
+        tuple(
+            Violation(u, v, w, conflict_kind(pts[u], pts[v], pts[w]))
+            for u, v, w in sorted(triples)
+        )
+    )
 
 
 def verify_direct(g: Graph) -> ConflictReport:
@@ -152,23 +144,12 @@ def verify_direct(g: Graph) -> ConflictReport:
     for u, v in g.edges:
         for w in g.adjacency[u]:
             # w in d_uv conflicts edges (u, v) and (u, w) at shared vertex u
-            if w != v and _disk_hit(pts, u, v, w):
+            if w != v and in_closed_disk(pts[u], pts[v], pts[w]):
                 found.add((u, min(v, w), max(v, w)))
         for w in g.adjacency[v]:
-            if w != u and _disk_hit(pts, v, u, w):
+            if w != u and in_closed_disk(pts[v], pts[u], pts[w]):
                 found.add((v, min(u, w), max(u, w)))
-    out = []
-    for u, v, w in sorted(found):
-        rec = _violation(pts, u, v, w)
-        assert rec is not None
-        out.append(rec)
-    return ConflictReport(tuple(out))
-
-
-def _disk_hit(pts: PointSet, a: int, b: int, r: int) -> bool:
-    from .geometry import in_closed_disk
-
-    return in_closed_disk(pts[a], pts[b], pts[r])
+    return _report(pts, found)
 
 
 # --- seeded random maximal LGGs -------------------------------------------
@@ -203,24 +184,11 @@ def candidate_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-# Candidates examined per vectorised scan step of ``_insert_exact``.
+# Candidates examined per vectorised scan step of ``_insert``.
 _SCAN_CHUNK = 256
 
 
-def _exact_coords(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate arrays in which the conflict dot products are exact.
-
-    A dot product of two differences is below 2 * span**2, so int64 is
-    exact while the x span and the y span are both below 2**31; wider
-    sets (corners at +-2**30) use Python integers in object arrays.
-    """
-    xs, ys = ps.xs(), ps.ys()
-    wide = max(xs) - min(xs) >= 1 << 31 or max(ys) - min(ys) >= 1 << 31
-    dtype = object if wide else np.int64
-    return np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
-
-
-def _insert_exact(xs, ys, us, vs) -> list[tuple[int, int]]:
+def _insert(xs, ys, eps: float, us, vs) -> list[tuple[int, int]]:
     """Greedy conflict-free insertion of the candidates (us[t], vs[t]) in order.
 
     ``alive[a, b]`` holds while the edge (a, b) conflicts with no edge
@@ -247,15 +215,17 @@ def _insert_exact(xs, ys, us, vs) -> list[tuple[int, int]]:
         t += k
         u, v = int(us[t]), int(vs[t])
         edges.append((u, v))
-        # the edge uv kills (u, b) unless v is outside the disk on ub,
-        # (u - v).(b - v) > 0, and b is outside the disk on uv,
-        # (b - u).(b - v) > 0; likewise (v, b) with u and v swapped
+        # the edge uv kills (u, b) unless b is outside the disk on uv
+        # (vectors b - u, b - v) and v is outside the disk on ub (u - v,
+        # b - v); likewise (v, b) with u and v swapped.  Negation is exact,
+        # so each test decides as the scalar one; at b = u or v the edge
+        # terms may wrap in int64, but ``outside`` is False there.
         ex, ey = xs[u] - xs[v], ys[u] - ys[v]
         dxu, dyu = xs - xs[u], ys - ys[u]
         dxv, dyv = xs - xs[v], ys - ys[v]
-        outside = dxu * dxv + dyu * dyv > 0
-        alive[u] &= outside & (ex * dxv + ey * dyv > 0)
-        alive[v] &= outside & (ex * dxu + ey * dyu < 0)
+        outside = outside_disk(dxu, dyu, dxv, dyv, eps)
+        alive[u] &= outside & outside_disk(ex, ey, dxv, dyv, eps)
+        alive[v] &= outside & outside_disk(-ex, -ey, dxu, dyu, eps)
         t += 1
     return edges
 
@@ -280,17 +250,5 @@ def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:
     cand_i, cand_j = np.triu_indices(n, 1)
     us = cand_i[order]
     vs = cand_j[order]
-    if ps.is_exact:
-        xs, ys = _exact_coords(ps)
-        return Graph(ps, tuple(_insert_exact(xs, ys, us, vs)))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edges: list[tuple[int, int]] = []
-    for u, v in zip(us.tolist(), vs.tolist()):
-        ok = all(
-            conflict_kind(ps[u], ps[v], ps[w]) is None for w in adj[u]
-        ) and all(conflict_kind(ps[v], ps[u], ps[w]) is None for w in adj[v])
-        if ok:
-            adj[u].append(v)
-            adj[v].append(u)
-            edges.append((u, v))
-    return Graph(ps, tuple(edges))
+    xs, ys = coord_arrays(ps)
+    return Graph(ps, tuple(_insert(xs, ys, ps.eps, us, vs)))

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import Point, PointSet
+from .geometry import Point, PointSet, outside_disk
 from .graph import ConflictReport, Graph, verify
 
 
@@ -115,13 +115,12 @@ def _feasible(px, py, qx, qy, rx, ry, g: int | None) -> bool:
     # counter-clockwise progress past q
     if (qx - px) * dy - (qy - py) * dx <= 0:
         return False
-    # strictly outside the closed disk with diameter p q
-    if (px - rx) * (qx - rx) + (py - ry) * (qy - ry) <= 0:
-        return False
-    # strictly below the tangent to that disk at q (angle at q < pi/2)
-    if (px - qx) * (rx - qx) + (py - qy) * (ry - qy) <= 0:
-        return False
-    return True
+    # strictly outside the closed disk with diameter p q, and strictly
+    # below the tangent to that disk at q (angle at q < pi/2, that is, q
+    # strictly outside the disk with diameter p r)
+    return outside_disk(px - rx, py - ry, qx - rx, qy - ry) and outside_disk(
+        px - qx, py - qy, rx - qx, ry - qy
+    )
 
 
 def next_neighbor(

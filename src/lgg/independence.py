@@ -40,7 +40,6 @@ class MonotoneSeq:
 class Method(Enum):
     MONOTONE_GREEDY = "MonotoneGreedy"
     PLAIN_GREEDY = "PlainGreedy"
-    BEST = "Best"
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 (array of [i, j], i < j, lexicographically sorted) and ``meta``
 (generator name, parameters, seed, epsilon).  Output is byte-stable:
 canonical edge order, sorted keys, shortest round-trip numbers.
+
+Every malformed input raises ``FormatError`` naming the file and the line,
+point or edge at fault.
 """
 
 from __future__ import annotations
@@ -26,8 +29,42 @@ class FormatError(ValueError):
     """Unparseable points or graph file."""
 
 
+def _items(items, make, name):
+    """``make(a, b)`` for each ``[a, b]`` item; a bad item is named by ``name``."""
+    k = 0
+    try:
+        for k, (a, b) in enumerate(items):
+            yield make(a, b)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(f"{name(k)}: {exc}") from exc
+
+
+def _point(real: bool, eps: float):
+    if real:
+        return lambda x, y: Point(float(x), float(y), eps)
+    return lambda x, y: Point(int(x), int(y))
+
+
+def _build(cls, *args):
+    """``cls(*args)``; a point set or graph it rejects is a FormatError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _in_file(path: str, parse, *args):
+    """``parse(text, *args)`` on the file's text; errors name the file."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text, *args)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -35,23 +72,17 @@ def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'x,y', got {raw!r}")
-        rows.append((parts[0], parts[1]))
+        rows.append((lineno, parts[0], parts[1]))
     if not rows:
         raise FormatError("no points in file")
-    real = any("." in tok or "e" in tok.lower() for tok in sum(map(list, rows), []))
-    try:
-        if real:
-            pts = tuple(Point(float(x), float(y), epsilon) for x, y in rows)
-        else:
-            pts = tuple(Point(int(x), int(y)) for x, y in rows)
-    except ValueError as exc:
-        raise FormatError(f"bad coordinate: {exc}") from exc
-    return PointSet(pts)
+    real = any("." in t or "e" in t.lower() for _, x, y in rows for t in (x, y))
+    make = _point(real, epsilon)
+    pts = _items(((x, y) for _, x, y in rows), make, lambda k: f"line {rows[k][0]}")
+    return _build(PointSet, tuple(pts))
 
 
 def load_points(path: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_points_csv(fh.read(), epsilon)
+    return _in_file(path, parse_points_csv, epsilon)
 
 
 def graph_to_json(g: Graph, meta: dict | None = None) -> str:
@@ -67,19 +98,15 @@ def graph_to_json(g: Graph, meta: dict | None = None) -> str:
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-        raw_pts = obj["points"]
-        raw_edges = obj["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raw_pts, raw_edges = obj["points"], obj["edges"]
+        eps = float(obj.get("meta", {}).get("epsilon", DEFAULT_EPSILON))
+        real = any(isinstance(c, float) for xy in raw_pts for c in xy)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
-    meta = obj.get("meta", {})
-    eps = float(meta.get("epsilon", DEFAULT_EPSILON))
-    real = any(isinstance(c, float) for xy in raw_pts for c in xy)
-    if real:
-        pts = tuple(Point(float(x), float(y), eps) for x, y in raw_pts)
-    else:
-        pts = tuple(Point(int(x), int(y)) for x, y in raw_pts)
-    edges = tuple((int(i), int(j)) for i, j in raw_edges)
-    return Graph(PointSet(pts), edges)
+    pts = _items(raw_pts, _point(real, eps), "point {}".format)
+    ps = _build(PointSet, tuple(pts))
+    edges = _items(raw_edges, lambda i, j: (int(i), int(j)), "edge {}".format)
+    return _build(Graph, ps, tuple(edges))
 
 
 def save_graph(g: Graph, path_or_file: str | TextIO, meta: dict | None = None) -> None:
@@ -92,8 +119,7 @@ def save_graph(g: Graph, path_or_file: str | TextIO, meta: dict | None = None) -
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+    return _in_file(path, graph_from_json)
 
 
 def graph_to_svg(

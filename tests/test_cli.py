@@ -121,6 +121,14 @@ class TestIndepset:
         size = int(text.split("size=")[1].split()[0])
         assert size >= 6
 
+    def test_non_lgg_exits_1(self, tmp_path, capsys):
+        # a triangle on a monotone set: the terminal vertex has degree 2
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"points": [[0, 0], [1, 1], [2, 2]], '
+                       '"edges": [[0, 1], [1, 2], [0, 2]]}')
+        assert run(["indepset", str(bad)]) == 1
+        assert "not a valid LGG" in capsys.readouterr().err
+
 
 class TestScaling:
     def test_csv_with_fit(self, tmp_path):
@@ -130,11 +138,6 @@ class TestScaling:
         assert lines[0] == "g,n,edges,edges_per_n"
         assert len(lines) == 5 and lines[-1].startswith("# fit:")
         assert "slope=" in lines[-1]
-
-    def test_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LGG_THREADS", "2")
-        out = tmp_path / "scaling.csv"
-        assert run(["scaling", "--sides", "12,18", "-o", str(out)]) == 0
 
     def test_single_side_exits_2(self, tmp_path):
         assert run(["scaling", "--sides", "12"]) == 2
@@ -161,3 +164,35 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "name, content, args",
+        [
+            ("short-point", '{"points": [[1], [2, 3]], "edges": []}', ["verify"]),
+            ("duplicate-csv", "0,0\n1,1\n0,0\n", ["extremal", "--points"]),
+            ("empty-points", '{"points": [], "edges": []}', ["verify"]),
+            ("self-loop", '{"points": [[0, 0], [1, 1]], "edges": [[1, 1]]}',
+             ["verify"]),
+            ("edge-range", '{"points": [[0, 0], [1, 1]], "edges": [[0, 5]]}',
+             ["indepset"]),
+            ("nan-csv", "nan,1.0\n2.0,3.0\n", ["extremal", "--points"]),
+            ("inf-json", '{"points": [[Infinity, 0.5], [1.5, 2.5]], "edges": []}',
+             ["verify"]),
+            ("disk-range", '{"points": [[0, 0], [4, 0], [0, 4]], "edges": []}',
+             ["emit-svg", "--disk", "0,7"]),
+            ("grid-side", None, ["construct", "grid", "--side", "5"]),
+            ("scaling-sides", None, ["scaling", "--sides", "12,x"]),
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, name, content, args):
+        # the message names the input at fault: the file, or the flag
+        if content is None:
+            culprit = args[-2]
+        else:
+            path = tmp_path / name
+            path.write_text(content)
+            args = args + [str(path)]
+            culprit = "--disk" if "--disk" in args else str(path)
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and culprit in err

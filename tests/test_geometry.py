@@ -50,6 +50,15 @@ class TestPoint:
         with pytest.raises(ValueError):
             Point(1.0, 2.0, -1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Point(bad, 1.0)
+        with pytest.raises(ValueError):
+            Point(1.0, bad)
+        with pytest.raises(ValueError):
+            Point(1.0, 2.0, bad)
+
 
 class TestPointSet:
     def test_duplicates_rejected(self):
@@ -63,6 +72,11 @@ class TestPointSet:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(CoordinateKindError):
             PointSet((Point(0, 0), Point(1.0, 1.0, 1e-9)))
+
+    def test_mixed_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            PointSet((Point(0.0, 0.0, 1e-9), Point(1.0, 1.0, 1e-6)))
+        assert PointSet.of([(0.0, 0.0), (1.0, 1.0)], 1e-6).eps == 1e-6
 
 
 class TestDiskSide:

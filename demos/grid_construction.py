@@ -8,7 +8,7 @@ and renders the neighborhood of one center point to an SVG file.
 
 import math
 
-from lgg import GridParams, Mode, build, neighbors_q1, step_states
+from lgg import GridParams, Mode, build, step_states
 from lgg.geometry import Point
 from lgg.io import graph_to_svg, save_graph
 
@@ -28,7 +28,7 @@ print(f"analysis  g=60: {stats_a.total_edges} edges, {stats_a.conflicts} conflic
 # Look at the walk from a single center point. The edge direction starts
 # nearly horizontal and rises step by step toward 45 degrees.
 p = Point(20, 20)
-for st in step_states(p, params, params.g):
+for st in step_states(p, params):
     deg = math.degrees(st.theta)
     print(f"  neighbor ({st.q.x:2d},{st.q.y:2d})  angle {deg:6.3f} deg")
 

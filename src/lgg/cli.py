@@ -4,7 +4,8 @@ Subcommands: ``construct grid|path|fan|cycle|ladder``, ``verify``,
 ``extremal``, ``indepset``, ``scaling``, ``emit-svg``.  Exit status 0 on
 success, 1 on invariant violations (an invalid graph under ``verify`` or
 ``indepset``, a failed construction, too many points for ``extremal``),
-2 on usage or parse errors.
+2 on usage or parse errors, including files that cannot be opened or
+decoded and out-of-range construction flags.
 
 The ``scaling`` command runs grid builds for several sides, one after
 another, and emits a CSV with a trailing log-log fit line.
@@ -20,6 +21,7 @@ from typing import Sequence
 
 from . import convex, grid, io
 from .extremal import max_lgg
+from .geometry import DEFAULT_EPSILON
 from .graph import verify
 from .independence import InvariantViolation, independent_set
 
@@ -85,6 +87,25 @@ def _grid_params(side: int, args: argparse.Namespace) -> grid.GridParams:
         raise io.FormatError(f"bad grid parameters for --side {side}: {exc}") from exc
 
 
+_CONVEX = {
+    "fan": convex.half_convex_fan,
+    "cycle": convex.circle_cycle,
+    "ladder": convex.centrally_symmetric_ladder,
+}
+
+
+def _convex(kind: str, args: argparse.Namespace) -> convex.Construction:
+    """A fan, cycle or ladder; a bad --n or --radius is a usage error."""
+    flags = {"n": args.n}
+    if kind != "ladder":
+        flags["radius"] = args.radius
+    try:
+        return _CONVEX[kind](**flags)
+    except convex.ConstructionError as exc:
+        given = " ".join(f"--{k} {v}" for k, v in flags.items())
+        raise io.FormatError(f"bad {kind} parameters {given}: {exc}") from exc
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "grid":
@@ -103,14 +124,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 0
     if kind == "path":
-        ps = io.load_points(args.points, args.epsilon)
-        cons = convex.monotonic_path(ps)
-    elif kind == "fan":
-        cons = convex.half_convex_fan(args.n, args.radius)
-    elif kind == "cycle":
-        cons = convex.circle_cycle(args.n, args.radius)
+        cons = convex.monotonic_path(io.load_points(args.points, args.epsilon))
     else:
-        cons = convex.centrally_symmetric_ladder(args.n)
+        cons = _convex(kind, args)
     meta = {"generator": cons.name, "parameters": {"n": len(cons.points)}}
     _write_out(io.graph_to_json(cons.graph, meta), args.output)
     return 0
@@ -200,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = kinds.add_parser("path", help="path on a strictly monotonic set")
     cp.add_argument("--points", required=True, help="points CSV file")
-    cp.add_argument("--epsilon", type=float, default=io.DEFAULT_EPSILON)
+    cp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
     for name, hlp in (
         ("fan", "quarter-circle star plus path (2n-3 edges)"),
@@ -219,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extremal", help="exact maximum LGG on a small point set")
     e.add_argument("--points", required=True)
-    e.add_argument("--epsilon", type=float, default=io.DEFAULT_EPSILON)
+    e.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
     i = sub.add_parser("indepset", help="independent set of a valid LGG")
     i.add_argument("graph")
@@ -256,7 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (io.FormatError, FileNotFoundError) as exc:
+    except (io.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (grid.GridConstructionError, InvariantViolation, ValueError) as exc:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ConvexClass, Point, PointSet, classify
+from .geometry import DEFAULT_EPSILON, ConvexClass, Point, PointSet, classify
 from .graph import Graph, verify
 
 DEFAULT_RADIUS = float(2**20)
-DEFAULT_EPS = 1e-9
 
 
 class ConstructionError(ValueError):
@@ -42,6 +41,16 @@ def _checked(name: str, ps: PointSet, edges, expected: int) -> Construction:
             f"{name}: built graph has {len(report.violations)} conflicts"
         )
     return Construction(name, ps, graph, expected, classify(ps))
+
+
+def _on_circle(radius: float, step: float, count: int) -> list[Point]:
+    """``count`` points at angles 0, step, 2 step, ... on a circle about 0."""
+    if not 0 < radius < math.inf:
+        raise ConstructionError(f"radius must be positive and finite, got {radius!r}")
+    return [
+        Point(radius * math.cos(k * step), radius * math.sin(k * step), DEFAULT_EPSILON)
+        for k in range(count)
+    ]
 
 
 def monotonic_path(ps: PointSet) -> Construction:
@@ -71,14 +80,8 @@ def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     # a boundary conflict under the closed-disk convention
     if n < 4:
         raise ConstructionError("half_convex_fan needs n >= 4")
-    if radius <= 0:
-        raise ConstructionError("radius must be positive")
-    step = (math.pi / 2) / (n - 2)
-    pts = [
-        Point(radius * math.cos(k * step), radius * math.sin(k * step), DEFAULT_EPS)
-        for k in range(n - 1)
-    ]
-    pts.append(Point(0.0, 0.0, DEFAULT_EPS))
+    pts = _on_circle(radius, (math.pi / 2) / (n - 2), n - 1)
+    pts.append(Point(0.0, 0.0, DEFAULT_EPSILON))
     center = n - 1
     edges = [(k, k + 1) for k in range(n - 2)]
     edges += [(center, k) for k in range(n - 1)]
@@ -93,15 +96,7 @@ def circle_cycle(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     """
     if n < 3:
         raise ConstructionError("circle_cycle needs n >= 3")
-    if radius <= 0:
-        raise ConstructionError("radius must be positive")
-    step = 2.0 * math.pi / n
-    pts = PointSet(
-        tuple(
-            Point(radius * math.cos(k * step), radius * math.sin(k * step), DEFAULT_EPS)
-            for k in range(n)
-        )
-    )
+    pts = PointSet(tuple(_on_circle(radius, 2.0 * math.pi / n, n)))
     edges = [(k, (k + 1) % n) for k in range(n)]
     return _checked("circle_cycle", pts, edges, n)
 

@@ -28,6 +28,9 @@ import numpy as np
 #: factor of a . b is at most 2**31 - 1, so |a . b| <= 2**63 - 2**31.
 MAX_EXACT_COORD = 2**30
 
+#: Default relative tolerance of real-coordinate points.
+DEFAULT_EPSILON = 1e-9
+
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 

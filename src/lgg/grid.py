@@ -11,9 +11,9 @@ Two step rules are provided: ``GREEDY_FEASIBLE`` takes the feasible grid
 point nearest to the current neighbor, ``ANALYSIS_GUIDED`` takes the
 closed-form step (x-offset ceil(c1 * sqrt(x_i)), y-offset floor(h_i + 1)
 with h_i the positive root of h^2 + x_i tan(theta_i) h - d_i (x_i - d_i)).
-Third-quadrant neighbors come from rerunning the procedure on the
-point-reflected grid and reflecting back, which makes edge symmetry exact
-by construction.
+The walk depends only on offsets, so it is run once from the origin and
+translated to every center; the third-quadrant edges are its point
+reflection, which makes edge symmetry exact by construction.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class GridParams:
-    """Construction parameters; ``s`` defaults to floor(g / 3)."""
+    """Construction parameters of a g x g grid."""
 
     g: int
     theta0: float = 1.74e-3
     c1: float = 1.01
     mode: Mode = Mode.GREEDY_FEASIBLE
-    s: int = 0
 
     def __post_init__(self) -> None:
         if self.g < 9:
@@ -48,10 +47,11 @@ class GridParams:
             raise ValueError("theta0 must lie in (0, pi/4)")
         if self.c1 <= 1.0:
             raise ValueError("c1 must exceed 1")
-        if self.s == 0:
-            object.__setattr__(self, "s", self.g // 3)
-        if self.s < 1:
-            raise ValueError("initial x-offset s must be at least 1")
+
+    @property
+    def s(self) -> int:
+        """Initial x-offset floor(g / 3); it bounds every walk offset."""
+        return self.g // 3
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,8 @@ def feasibility_gap(x_i: int, theta_i: float, d_i: int) -> float:
     return d_i / tan - h_from_eq1(x_i, tan, d_i)
 
 
-def _feasible(px, py, qx, qy, rx, ry, g: int | None) -> bool:
+def _feasible(px, py, qx, qy, rx, ry) -> bool:
     """Exact feasibility of grid point r as the successor of q around p."""
-    if g is not None and not (0 <= rx < g and 0 <= ry < g):
-        return False
     dx, dy = rx - px, ry - py
     if dx < 1 or dy < 1 or dy > dx:  # open first quadrant, angle <= pi/4
         return False
@@ -123,14 +121,13 @@ def _feasible(px, py, qx, qy, rx, ry, g: int | None) -> bool:
     )
 
 
-def next_neighbor(
-    p: Point, q_i: Point, params: GridParams, grid_side: int | None
-) -> Point | None:
+def next_neighbor(p: Point, q_i: Point, params: GridParams) -> Point | None:
     """Successor of ``q_i`` in the counter-clockwise walk around ``p``.
 
     Returns None when no admissible grid point with direction at most 45
     degrees remains (greedy mode) or the closed-form step leaves the
-    feasible region or the grid (analysis mode).
+    feasible region (analysis mode).  A successor has a strictly smaller
+    x-offset than ``q_i``.
     """
     px, py, qx, qy = p.x, p.y, q_i.x, q_i.y
     if params.mode is Mode.ANALYSIS_GUIDED:
@@ -140,7 +137,7 @@ def next_neighbor(
             return None
         h_i = h_from_eq1(x_i, y_i / x_i, d_i)
         rx, ry = qx - d_i, qy + math.floor(h_i + 1.0)
-        if not _feasible(px, py, qx, qy, rx, ry, grid_side):
+        if not _feasible(px, py, qx, qy, rx, ry):
             return None
         return Point(rx, ry)
 
@@ -160,7 +157,7 @@ def next_neighbor(
             ring.append((qx + t, qy - k))
             ring.append((qx + t, qy + k))
         for rx, ry in ring:
-            if _feasible(px, py, qx, qy, rx, ry, grid_side):
+            if _feasible(px, py, qx, qy, rx, ry):
                 dx, dy = rx - qx, ry - qy
                 cand = (dx * dx + dy * dy, ry, rx)
                 if best is None or cand < best:
@@ -176,30 +173,26 @@ def first_neighbor(p: Point, params: GridParams) -> Point:
     return Point(p.x + params.s, p.y + dy)
 
 
-def neighbors_q1(
-    p: Point, params: GridParams, grid_side: int | None
-) -> list[Point]:
-    """Counter-clockwise first-quadrant neighbor sequence of ``p``."""
+def neighbors_q1(p: Point, params: GridParams) -> list[Point]:
+    """Counter-clockwise first-quadrant neighbor sequence of ``p``.
+
+    Offsets from ``p`` lie in [1, s]^2: the walk starts at x-offset s, each
+    step lowers the x-offset, and no direction exceeds 45 degrees.
+    """
     q = first_neighbor(p, params)
-    if grid_side is not None and not (0 <= q.x < grid_side and 0 <= q.y < grid_side):
-        return []
     out = [q]
     for _ in range(4 * (params.s + params.g)):  # safety cap, never reached
-        r = next_neighbor(p, q, params, grid_side)
+        r = next_neighbor(p, q, params)
         if r is None:
-            return out
-        if r.y - p.y > r.x - p.x:  # direction exceeded 45 degrees
             return out
         out.append(r)
         q = r
     raise RuntimeError("neighbor iteration failed to terminate")
 
 
-def step_states(
-    p: Point, params: GridParams, grid_side: int | None
-) -> list[StepState]:
+def step_states(p: Point, params: GridParams) -> list[StepState]:
     """Per-step analysis quantities along the Q1 walk from ``p``."""
-    seq = neighbors_q1(p, params, grid_side)
+    seq = neighbors_q1(p, params)
     states = []
     for i, q in enumerate(seq):
         x, y = q.x - p.x, q.y - p.y
@@ -214,53 +207,31 @@ def step_states(
     return states
 
 
-def _offsets(params: GridParams) -> list[tuple[int, int]]:
-    """Unbounded Q1 neighbor offsets; identical for every center point."""
-    origin = Point(0, 0)
-    return [(q.x, q.y) for q in neighbors_q1(origin, params, None)]
-
-
 def build(params: GridParams) -> tuple[Graph, GridBuildStats]:
     """Construct and verify the grid LGG; n = g * g points.
 
-    Q1 edges come from the walk at every center point (both coordinates in
-    [floor(g/3), floor(2g/3))); Q3 edges from the walk at the point-reflected
-    position, reflected back.  The verifier must report zero conflicts.
+    Every center point (both coordinates in [floor(g/3), floor(2g/3))) gets
+    the Q1 offsets of the one walk from the origin, and their point
+    reflection as Q3 offsets.  The verifier must report zero conflicts.
     """
     g = params.g
     points = PointSet(tuple(Point(x, y) for x in range(g) for y in range(g)))
-    idx = lambda x, y: x * g + y
     lo, hi = g // 3, (2 * g) // 3
-    cached = _offsets(params)
-
-    def q1_points(px: int, py: int) -> list[tuple[int, int]]:
-        pts = [(px + ox, py + oy) for ox, oy in cached]
-        if all(0 <= x < g and 0 <= y < g for x, y in pts):
-            return pts
-        return [
-            (q.x, q.y) for q in neighbors_q1(Point(px, py), params, g)
-        ]
-
+    centers = [(x, y) for x in range(lo, hi) for y in range(lo, hi)]
+    # index steps d > 0, so (a, a + d) and (a - d, a) are already canonical
+    steps = [q.x * g + q.y for q in neighbors_q1(Point(0, 0), params)]
     edges: set[tuple[int, int]] = set()
-    q1_counts: dict[tuple[int, int], int] = {}
-    for px in range(lo, hi):
-        for py in range(lo, hi):
-            qs = q1_points(px, py)
-            q1_counts[(px, py)] = len(qs)
-            a = idx(px, py)
-            for x, y in qs:
-                b = idx(x, y)
-                edges.add((a, b) if a < b else (b, a))
-            # third quadrant via point reflection of the whole grid
-            rx, ry = g - 1 - px, g - 1 - py
-            for x, y in q1_points(rx, ry):
-                b = idx(g - 1 - x, g - 1 - y)
-                edges.add((a, b) if a < b else (b, a))
+    for x, y in centers:
+        a = x * g + y
+        for d in steps:
+            edges.add((a, a + d))
+            edges.add((a - d, a))
 
     graph = Graph(points, tuple(sorted(edges)))
     report = verify(graph)
     if not report.valid:
         raise GridConstructionError(report)
+    q1_counts = dict.fromkeys(centers, len(steps))
     stats = GridBuildStats(q1_counts, len(graph.edges), len(report.violations))
     return graph, stats
 

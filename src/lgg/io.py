@@ -19,10 +19,8 @@ import json
 import math
 from typing import TextIO
 
-from .geometry import Point, PointSet
+from .geometry import DEFAULT_EPSILON, Point, PointSet
 from .graph import Graph
-
-DEFAULT_EPSILON = 1e-9
 
 
 class FormatError(ValueError):
@@ -45,6 +43,18 @@ def _point(real: bool, eps: float):
     return lambda x, y: Point(int(x), int(y))
 
 
+def _json_only(types, make):
+    """``make(a, b)`` for JSON values whose type is in ``types``; never ``bool``."""
+
+    def checked(a, b):
+        if type(a) not in types or type(b) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise TypeError(f"expected {names}, got [{a!r}, {b!r}]")
+        return make(a, b)
+
+    return checked
+
+
 def _build(cls, *args):
     """``cls(*args)``; a point set or graph it rejects is a FormatError."""
     try:
@@ -56,7 +66,10 @@ def _build(cls, *args):
 def _in_file(path: str, parse, *args):
     """``parse(text, *args)`` on the file's text; errors name the file."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return parse(text, *args)
     except FormatError as exc:
@@ -103,9 +116,10 @@ def graph_from_json(text: str) -> Graph:
         real = any(isinstance(c, float) for xy in raw_pts for c in xy)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
-    pts = _items(raw_pts, _point(real, eps), "point {}".format)
-    ps = _build(PointSet, tuple(pts))
-    edges = _items(raw_edges, lambda i, j: (int(i), int(j)), "edge {}".format)
+    make_point = _json_only((int, float), _point(real, eps))
+    ps = _build(PointSet, tuple(_items(raw_pts, make_point, "point {}".format)))
+    make_edge = _json_only((int,), lambda i, j: (i, j))
+    edges = _items(raw_edges, make_edge, "edge {}".format)
     return _build(Graph, ps, tuple(edges))
 
 

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lgg.cli import FitError, ScalingSample, fit_exponent, main
 from lgg.io import load_graph
@@ -12,6 +14,10 @@ from lgg.io import load_graph
 
 def run(args):
     return main(list(args))
+
+
+#: ``content`` of a malformed-input case whose path is a directory
+DIRECTORY = object()
 
 
 class TestFitExponent:
@@ -182,6 +188,27 @@ class TestUsage:
              ["emit-svg", "--disk", "0,7"]),
             ("grid-side", None, ["construct", "grid", "--side", "5"]),
             ("scaling-sides", None, ["scaling", "--sides", "12,x"]),
+            ("verify-dir", DIRECTORY, ["verify"]),
+            ("output-dir", DIRECTORY, ["construct", "cycle", "--n", "5", "-o"]),
+            ("latin1-csv", b"0,0\n1,1 # caf\xe9\n", ["construct", "path", "--points"]),
+            ("latin1-json", b'{"points": [[0, 0], [1, 1]], "edges": [], "x": "\xe9"}',
+             ["verify"]),
+            ("float-edge", '{"points": [[0, 0], [1, 1]], "edges": [[0.9, 1]]}',
+             ["verify"]),
+            ("string-edge", '{"points": [[0, 0], [1, 1], [2, 3]], "edges": [["2", 1]]}',
+             ["verify"]),
+            ("bool-edge", '{"points": [[0, 0], [1, 1]], "edges": [[false, true]]}',
+             ["verify"]),
+            ("bool-point", '{"points": [[true, false], [2, 3]], "edges": []}',
+             ["verify"]),
+            ("string-point", '{"points": [["1", "2"], [2, 3]], "edges": []}',
+             ["verify"]),
+            ("fan-n", None, ["construct", "fan", "--n", "3"]),
+            ("cycle-n", None, ["construct", "cycle", "--n", "2"]),
+            ("ladder-n", None, ["construct", "ladder", "--n", "10"]),
+            ("radius-nan", None, ["construct", "cycle", "--n", "6", "--radius", "nan"]),
+            ("radius-inf", None, ["construct", "fan", "--n", "6", "--radius", "inf"]),
+            ("radius-zero", None, ["construct", "fan", "--n", "6", "--radius", "0"]),
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, content, args):
@@ -190,9 +217,57 @@ class TestUsage:
             culprit = args[-2]
         else:
             path = tmp_path / name
-            path.write_text(content)
+            if content is DIRECTORY:
+                path.mkdir()
+            elif isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
             args = args + [str(path)]
             culprit = "--disk" if "--disk" in args else str(path)
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and culprit in err
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers(-(2**31), 2**31)
+               | st.floats() | st.text(max_size=4))
+    return st.recursive(scalars, lambda kids: st.lists(kids, max_size=4), max_leaves=12)
+
+
+def _graph_json():
+    small = st.lists(st.integers(-3, 8), min_size=2, max_size=2)
+    pair = small | st.lists(_json_values(), min_size=2, max_size=2)
+    doc = st.fixed_dictionaries(
+        {"points": st.lists(pair, max_size=6), "edges": st.lists(pair, max_size=6)},
+        optional={"meta": st.dictionaries(st.just("epsilon"), _json_values())},
+    )
+    return doc.map(lambda d: json.dumps(d).encode())
+
+
+def _points_csv():
+    cell = st.integers(-50, 50).map(str) | st.floats().map(repr) | st.text(max_size=3)
+    row = st.tuples(cell, cell).map(",".join) | st.text(max_size=6)
+    return st.lists(row, max_size=8).map(lambda rows: "\n".join(rows).encode())
+
+
+class TestFuzz:
+    """Any file content exits 0, 1 or 2; content that is not UTF-8 exits 2."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.binary(max_size=64) | _graph_json() | _points_csv(),
+        args=st.sampled_from([["construct", "path", "--points"], ["verify"],
+                              ["indepset"], ["emit-svg"]]),
+    )
+    def test_any_bytes_exit_0_1_or_2(self, tmp_path, data, args):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        code = run(args + [str(path)])
+        assert code in (0, 1, 2)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert code == 2

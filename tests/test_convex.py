@@ -1,5 +1,6 @@
 """Extremal constructions on convex and monotone point sets."""
 
+import math
 import random
 
 import pytest
@@ -75,6 +76,9 @@ class TestFan:
             half_convex_fan(3)
         with pytest.raises(ConstructionError):
             half_convex_fan(8, radius=0.0)
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ConstructionError, match="finite"):
+                half_convex_fan(8, radius=radius)
 
 
 class TestCycle:
@@ -98,6 +102,9 @@ class TestCycle:
     def test_bad_inputs(self):
         with pytest.raises(ConstructionError):
             circle_cycle(2)
+        for radius in (math.nan, -math.inf, -1.0):
+            with pytest.raises(ConstructionError, match="radius"):
+                circle_cycle(5, radius=radius)
 
 
 class TestLadder:

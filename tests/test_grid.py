@@ -8,6 +8,7 @@ import pytest
 from lgg.geometry import Point
 from lgg.graph import verify
 from lgg.grid import (
+    GridBuildStats,
     GridParams,
     Mode,
     _feasible,
@@ -37,6 +38,8 @@ class TestParams:
             GridParams(g=30, c1=1.0)
         with pytest.raises(ValueError):
             GridParams(g=30, theta0=0.0)
+        with pytest.raises(TypeError):  # s is always floor(g / 3)
+            GridParams(g=30, s=5)
 
 
 class TestStepFormulas:
@@ -85,13 +88,13 @@ class TestNextNeighbor:
     def test_analysis_closed_form_step(self):
         # x=100: d = ceil(1.01 * 10) = 11, h about 30.79, so r = (89, 32)
         p, q = Point(0, 0), Point(100, 1)
-        r = next_neighbor(p, q, GridParams(g=9, mode=Mode.ANALYSIS_GUIDED), None)
+        r = next_neighbor(p, q, GridParams(g=9, mode=Mode.ANALYSIS_GUIDED))
         assert r == Point(89, 32)
 
     def test_modes_stop_at_small_offsets(self):
         p, q = Point(0, 0), Point(2, 2)
         for mode in Mode:
-            assert next_neighbor(p, q, GridParams(g=9, mode=mode), None) is None
+            assert next_neighbor(p, q, GridParams(g=9, mode=mode)) is None
 
     def test_greedy_matches_exhaustive_search(self):
         rng = random.Random(21)
@@ -100,13 +103,13 @@ class TestNextNeighbor:
             px, py = 0, 0
             qx = rng.randrange(2, 40)
             qy = rng.randrange(1, qx + 1)
-            got = next_neighbor(Point(px, py), Point(qx, qy), params, None)
+            got = next_neighbor(Point(px, py), Point(qx, qy), params)
             # exhaustive scan over a window comfortably containing the ring cap
             span = 2 * (qx + qy) + 6
             best = None
             for rx in range(qx - span, qx + span + 1):
                 for ry in range(qy - span, qy + span + 1):
-                    if _feasible(px, py, qx, qy, rx, ry, None):
+                    if _feasible(px, py, qx, qy, rx, ry):
                         d2 = (rx - qx) ** 2 + (ry - qy) ** 2
                         cand = (d2, ry, rx)
                         if best is None or cand < best:
@@ -116,17 +119,12 @@ class TestNextNeighbor:
             else:
                 assert got == Point(best[2], best[1])
 
-    def test_bounded_mode_respects_grid(self):
-        p, q = Point(0, 0), Point(100, 1)
-        r = next_neighbor(p, q, GridParams(g=30, mode=Mode.ANALYSIS_GUIDED), 30)
-        assert r is None  # (89, 32) lies outside a 30 x 30 grid
-
     def test_successor_is_feasible(self):
         params = GridParams(g=9)
         p, q = Point(0, 0), Point(50, 3)
-        r = next_neighbor(p, q, params, None)
+        r = next_neighbor(p, q, params)
         assert r is not None
-        assert _feasible(p.x, p.y, q.x, q.y, r.x, r.y, None)
+        assert _feasible(p.x, p.y, q.x, q.y, r.x, r.y)
 
 
 class TestWalk:
@@ -139,7 +137,7 @@ class TestWalk:
         for mode in Mode:
             params = GridParams(g=150, mode=mode)
             p = Point(50, 50)
-            seq = neighbors_q1(p, params, 150)
+            seq = neighbors_q1(p, params)
             assert len(seq) >= 2
             angles = [math.atan2(q.y - p.y, q.x - p.x) for q in seq]
             assert all(a < b for a, b in zip(angles, angles[1:]))
@@ -147,12 +145,12 @@ class TestWalk:
 
     def test_walk_x_offsets_strictly_decrease(self):
         for mode in Mode:
-            seq = neighbors_q1(Point(0, 0), GridParams(g=300, mode=mode), None)
+            seq = neighbors_q1(Point(0, 0), GridParams(g=300, mode=mode))
             xs = [q.x for q in seq]
             assert all(a > b for a, b in zip(xs, xs[1:]))
 
     def test_step_states_satisfy_eq1(self):
-        states = step_states(Point(0, 0), GridParams(g=300), None)
+        states = step_states(Point(0, 0), GridParams(g=300))
         assert states[0].q == first_neighbor(Point(0, 0), GridParams(g=300))
         for st in states[:-1]:
             assert st.d is not None and st.h is not None
@@ -164,7 +162,33 @@ class TestWalk:
         assert states[-1].d is None
 
 
+def _reference_build(params):
+    """Per-center walks: Q1 from the center, Q3 from its reflection, reflected back."""
+    g, s = params.g, params.s
+    lo, hi = g // 3, (2 * g) // 3
+    edges, q1_counts = set(), {}
+    for px in range(lo, hi):
+        for py in range(lo, hi):
+            q1 = neighbors_q1(Point(px, py), params)
+            rx, ry = g - 1 - px, g - 1 - py
+            q3 = [Point(g - 1 - q.x, g - 1 - q.y)
+                  for q in neighbors_q1(Point(rx, ry), params)]
+            q1_counts[(px, py)] = len(q1)
+            for q in q1 + q3:
+                assert 1 <= abs(q.x - px) <= s and 1 <= abs(q.y - py) <= s
+                a, b = px * g + py, q.x * g + q.y
+                edges.add((min(a, b), max(a, b)))
+    return tuple(sorted(edges)), GridBuildStats(q1_counts, len(edges), 0)
+
+
 class TestBuild:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_matches_per_center_reference(self, mode):
+        for g in range(9, 41):
+            params = GridParams(g=g, mode=mode)
+            graph, stats = build(params)
+            assert (graph.edges, stats) == _reference_build(params)
+
     @pytest.mark.parametrize("mode", list(Mode))
     def test_small_builds_are_valid(self, mode):
         for g in (9, 30):

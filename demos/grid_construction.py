@@ -9,7 +9,6 @@ and renders the neighborhood of one center point to an SVG file.
 import math
 
 from lgg import GridParams, Mode, build, step_states
-from lgg.geometry import Point
 from lgg.io import graph_to_svg, save_graph
 
 # Build a 60 x 60 grid (3600 points) with the greedy step rule: every
@@ -25,19 +24,18 @@ print(f"greedy    g=60: {stats.total_edges} edges, {stats.conflicts} conflicts")
 graph_a, stats_a = build(GridParams(g=60, mode=Mode.ANALYSIS_GUIDED))
 print(f"analysis  g=60: {stats_a.total_edges} edges, {stats_a.conflicts} conflicts")
 
-# Look at the walk from a single center point. The edge direction starts
-# nearly horizontal and rises step by step toward 45 degrees.
-p = Point(20, 20)
-for st in step_states(p, params):
+# Look at the walk that every center point shares, as offsets from the
+# center. The edge direction starts nearly horizontal and rises step by
+# step toward 45 degrees.
+for st in step_states(params):
     deg = math.degrees(st.theta)
-    print(f"  neighbor ({st.q.x:2d},{st.q.y:2d})  angle {deg:6.3f} deg")
+    print(f"  offset ({st.x:2d},{st.y:2d})  angle {deg:6.3f} deg")
 
 # Per-center neighbor counts grow with the grid: the walk gets more steps
 # as the initial x-offset s = g/3 grows.
 for g in (30, 90, 150):
     _, s = build(GridParams(g=g))
-    per_center = s.total_edges / len(s.q1_counts)
-    print(f"g={g:3d}: {s.total_edges:6d} edges, {per_center:.2f} per center")
+    print(f"g={g:3d}: {s.total_edges:6d} edges, {s.q1_count} Q1 neighbors per center")
 
 # Persist the smallest build for inspection.
 small, _ = build(GridParams(g=30))

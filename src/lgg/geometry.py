@@ -248,72 +248,28 @@ class ConvexClass:
     def is_monotonic(self) -> bool:
         return self.kind in _MONOTONIC_KINDS
 
-    @property
-    def is_half_convex(self) -> bool:
-        # Monotonic sets are half convex with one empty chain.
-        return self.is_monotonic or self.kind in (
-            ConvexKind.RIGHT_HALF_CONVEX,
-            ConvexKind.LEFT_HALF_CONVEX,
-        )
-
-    @property
-    def is_convex_position(self) -> bool:
-        """Whether the kind implies convex position (monotonic kinds do not)."""
-        return self.kind not in (ConvexKind.NON_CONVEX, *_MONOTONIC_KINDS)
-
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _hull_chains(pts: list[tuple]) -> tuple[list[tuple], list[tuple]]:
-    """Lower and upper hull chains of ``pts`` (strict turns, vertices only)."""
+    """Lower and upper hull chains, left to right, with the points on hull edges.
+
+    Andrew's monotone chain, popping only on right turns.
+    """
     pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts, pts
     lower: list[tuple] = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) < 0:
             lower.pop()
         lower.append(p)
     upper: list[tuple] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) < 0:
             upper.pop()
         upper.append(p)
     return lower, upper[::-1]
-
-
-def _on_segment(a, b, p) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _convex_position(coords: list[tuple]) -> tuple[bool, bool]:
-    """(is convex position, strictly so).
-
-    Convex position here admits points lying on hull edges; such sets are
-    convex but not strict.  A point strictly interior to the hull makes the
-    set non-convex.
-    """
-    lower, upper = _hull_chains(coords)
-    vertices = set(lower) | set(upper)
-    boundary_edges = list(zip(lower, lower[1:])) + list(zip(upper, upper[1:]))
-    strict = True
-    for c in coords:
-        if c in vertices:
-            continue
-        if any(_on_segment(a, b, c) for a, b in boundary_edges):
-            strict = False
-        else:
-            return False, False
-    if len(vertices) < len(set(coords)):
-        strict = False
-    return True, strict
 
 
 def _monotone_flags(vals: list) -> tuple[bool, bool, bool, bool]:
@@ -351,36 +307,19 @@ def _classify_monotonic(ps: PointSet) -> ConvexClass | None:
     return None
 
 
-def _chain_assignment(coords: list[tuple]) -> tuple[list[tuple], list[tuple]]:
-    """Split the points into upper- and lower-hull chains, left to right."""
-    lower, upper = _hull_chains(coords)
-    ordered = sorted(set(coords))
-    low_set: list[tuple] = []
-    up_set: list[tuple] = []
-    lower_edges = list(zip(lower, lower[1:]))
-    upper_edges = list(zip(upper, upper[1:]))
-    for c in ordered:
-        on_low = c in lower or any(_on_segment(a, b, c) for a, b in lower_edges)
-        on_up = c in upper or any(_on_segment(a, b, c) for a, b in upper_edges)
-        if on_low:
-            low_set.append(c)
-        if on_up and not on_low:
-            up_set.append(c)
-    # A vertical hull edge at maximal x puts both its endpoints on the lower
-    # chain; the top endpoint belongs to the upper chain.
-    if len(low_set) >= 2 and low_set[-1][0] == low_set[-2][0]:
-        up_set.append(low_set.pop())
-    return up_set, low_set
-
-
-def _classify_half(coords: list[tuple], strict: bool) -> ConvexClass | None:
-    upper, lower = _chain_assignment(coords)
-    u_nondec, u_inc, u_noninc, u_dec = _monotone_flags([c[1] for c in upper])
-    l_nondec, l_inc, l_noninc, l_dec = _monotone_flags([c[1] for c in lower])
+def _classify_half(lower: list[tuple], upper: list[tuple]) -> ConvexClass | None:
+    """Right or left half-convex class of strictly convex hull chains, or None."""
+    # the shared end points count as lower-chain points, except the top of
+    # a vertical right edge
+    up, low = upper[1:-1], lower
+    if lower[-2][0] == lower[-1][0]:
+        up, low = upper[1:], lower[:-1]
+    u_nondec, u_inc, u_noninc, u_dec = _monotone_flags([c[1] for c in up])
+    l_nondec, l_inc, l_noninc, l_dec = _monotone_flags([c[1] for c in low])
     if u_noninc and l_nondec:
-        return ConvexClass(ConvexKind.RIGHT_HALF_CONVEX, strict and u_dec and l_inc)
+        return ConvexClass(ConvexKind.RIGHT_HALF_CONVEX, u_dec and l_inc)
     if u_nondec and l_noninc:
-        return ConvexClass(ConvexKind.LEFT_HALF_CONVEX, strict and u_inc and l_dec)
+        return ConvexClass(ConvexKind.LEFT_HALF_CONVEX, u_inc and l_dec)
     return None
 
 
@@ -455,14 +394,16 @@ def classify(ps: PointSet) -> ConvexClass:
     mono = _classify_monotonic(ps)
     if mono is not None:
         return mono
-    coords = [(p.x, p.y) for p in ps.points]
-    convex, conv_strict = _convex_position(coords)
-    if not convex:
+    lower, upper = _hull_chains([(p.x, p.y) for p in ps.points])
+    if len(set(lower + upper)) < len(ps):  # a point strictly inside the hull
         return ConvexClass(ConvexKind.NON_CONVEX, False)
+    # strict: no point lies inside a hull edge
+    conv_strict = all(_cross(a, b, c) != 0 for ch in (lower, upper)
+                      for a, b, c in zip(ch, ch[1:], ch[2:]))
     if conv_strict:
         # Collinear triples degenerate the hull chains; such sets fall
         # through to the order-insensitive classes below.
-        half = _classify_half(coords, conv_strict)
+        half = _classify_half(lower, upper)
         if half is not None:
             return half
     if _is_centrally_symmetric(ps):

@@ -160,23 +160,19 @@ _SM_M2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + _SM_GAMMA) & _U64
-    z = ((z ^ (z >> 30)) * _SM_M1) & _U64
-    z = ((z ^ (z >> 27)) * _SM_M2) & _U64
-    return z ^ (z >> 31)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 output for each uint64 state ``z`` (wrapping arithmetic)."""
+    with np.errstate(over="ignore"):
+        z = z + np.uint64(_SM_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
+        return z ^ (z >> np.uint64(31))
 
 
 def _candidate_keys(seed: int, count: int) -> np.ndarray:
     """splitmix64 key stream, key_i = mix(mix(seed) xor i), vectorized."""
-    base = np.uint64(_splitmix64(seed & _U64))
-    z = np.arange(count, dtype=np.uint64) ^ base
-    with np.errstate(over="ignore"):
-        z = (z + np.uint64(_SM_GAMMA)) & np.uint64(_U64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
-        z = z ^ (z >> np.uint64(31))
-    return z
+    base = _mix(np.uint64(seed & _U64))
+    return _mix(np.arange(count, dtype=np.uint64) ^ base)
 
 
 def candidate_edges(n: int) -> list[tuple[int, int]]:

@@ -1,17 +1,17 @@
 """Dense locally Gabriel graphs on the integer grid.
 
-Each center point of a g x g grid is iteratively assigned neighbors in its
-first quadrant, walking counter-clockwise from a nearly horizontal first
-neighbor until the edge direction reaches 45 degrees.  Every step places
-the next neighbor strictly outside the current edge's diametral disk and
-strictly below the tangent to that disk at the current neighbor, which is
-exactly what keeps the union of all edges locally Gabriel.
+Each center point of a g x g grid is assigned neighbors in its first
+quadrant by one walk over integer offsets (x, y) from the center: it
+starts from a nearly horizontal first offset and turns counter-clockwise
+until the edge direction reaches 45 degrees.  Every step places the next
+offset strictly outside the current edge's diametral disk and strictly
+below the tangent to that disk at the current offset, which is exactly
+what keeps the union of all edges locally Gabriel.
 
-Two step rules are provided: ``GREEDY_FEASIBLE`` takes the feasible grid
-point nearest to the current neighbor, ``ANALYSIS_GUIDED`` takes the
-closed-form step (x-offset ceil(c1 * sqrt(x_i)), y-offset floor(h_i + 1)
-with h_i the positive root of h^2 + x_i tan(theta_i) h - d_i (x_i - d_i)).
-The walk depends only on offsets, so it is run once from the origin and
+Two step rules are provided: ``GREEDY_FEASIBLE`` takes the feasible offset
+nearest to the current one, ``ANALYSIS_GUIDED`` takes the closed-form step
+(x-offset ceil(c1 * sqrt(x_i)), y-offset floor(h_i + 1) with h_i the
+positive root of h^2 + x_i tan(theta_i) h - d_i (x_i - d_i)).  The walk is
 translated to every center; the third-quadrant edges are its point
 reflection, which makes edge symmetry exact by construction.
 """
@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .geometry import Point, PointSet, outside_disk
 from .graph import ConflictReport, Graph, verify
@@ -56,12 +58,10 @@ class GridParams:
 
 @dataclass(frozen=True)
 class StepState:
-    """Quantities of one iteration step at center ``p``."""
+    """Quantities of one walk step at offset (x, y) from the center."""
 
-    p: Point
-    q: Point
-    x: int  # q.x - p.x
-    y: int  # q.y - p.y
+    x: int
+    y: int
     theta: float
     d: int | None  # x-step to the next neighbor, None at the last step
     h: float | None
@@ -70,7 +70,7 @@ class StepState:
 
 @dataclass(frozen=True)
 class GridBuildStats:
-    q1_counts: dict[tuple[int, int], int]
+    q1_count: int  # first-quadrant neighbors of every center
     total_edges: int
     conflicts: int
 
@@ -105,134 +105,103 @@ def feasibility_gap(x_i: int, theta_i: float, d_i: int) -> float:
     return d_i / tan - h_from_eq1(x_i, tan, d_i)
 
 
-def _feasible(px, py, qx, qy, rx, ry) -> bool:
-    """Exact feasibility of grid point r as the successor of q around p."""
-    dx, dy = rx - px, ry - py
-    if dx < 1 or dy < 1 or dy > dx:  # open first quadrant, angle <= pi/4
-        return False
-    # counter-clockwise progress past q
-    if (qx - px) * dy - (qy - py) * dx <= 0:
-        return False
-    # strictly outside the closed disk with diameter p q, and strictly
-    # below the tangent to that disk at q (angle at q < pi/2, that is, q
-    # strictly outside the disk with diameter p r)
-    return outside_disk(px - rx, py - ry, qx - rx, qy - ry) and outside_disk(
-        px - qx, py - qy, rx - qx, ry - qy
+def _feasible(qx, qy, rx, ry):
+    """Exact feasibility of offset r after offset q; ints or int64 arrays."""
+    return (
+        (ry >= 1)  # open first quadrant, angle <= pi/4
+        & (ry <= rx)
+        # counter-clockwise progress past q
+        & (qx * ry - qy * rx > 0)
+        # strictly outside the closed disk with diameter 0 q, and strictly
+        # below the tangent to that disk at q (angle at q < pi/2, that is,
+        # q strictly outside the disk with diameter 0 r)
+        & outside_disk(-rx, -ry, qx - rx, qy - ry)
+        & outside_disk(-qx, -qy, rx - qx, ry - qy)
     )
 
 
-def next_neighbor(p: Point, q_i: Point, params: GridParams) -> Point | None:
-    """Successor of ``q_i`` in the counter-clockwise walk around ``p``.
+def next_neighbor(q: tuple[int, int], params: GridParams) -> tuple[int, int] | None:
+    """Offset after ``q`` in the counter-clockwise walk, or None at its end.
 
-    Returns None when no admissible grid point with direction at most 45
-    degrees remains (greedy mode) or the closed-form step leaves the
-    feasible region (analysis mode).  A successor has a strictly smaller
-    x-offset than ``q_i``.
+    The walk ends when no feasible offset remains (greedy mode) or the
+    closed-form step is infeasible (analysis mode).
     """
-    px, py, qx, qy = p.x, p.y, q_i.x, q_i.y
+    qx, qy = q
     if params.mode is Mode.ANALYSIS_GUIDED:
-        x_i, y_i = qx - px, qy - py
-        d_i = math.ceil(params.c1 * math.sqrt(x_i))
-        if d_i >= x_i:
+        d = math.ceil(params.c1 * math.sqrt(qx))
+        if d >= qx:
             return None
-        h_i = h_from_eq1(x_i, y_i / x_i, d_i)
-        rx, ry = qx - d_i, qy + math.floor(h_i + 1.0)
-        if not _feasible(px, py, qx, qy, rx, ry):
-            return None
-        return Point(rx, ry)
+        r = qx - d, qy + math.floor(h_from_eq1(qx, qy / qx, d) + 1.0)
+        return r if _feasible(qx, qy, *r) else None
 
-    # Greedy: expanding ring scan around q_i for the nearest feasible
-    # grid point; ties broken by smaller y, then smaller x.
-    x_i, y_i = qx - px, qy - py
-    k_max = 2 * (x_i + y_i) + 4
-    best = None  # (dist2, ry, rx)
-    for k in range(1, k_max + 1):
-        if best is not None and best[0] <= (k - 1) * (k - 1):
-            break
-        ring = []
-        for t in range(-k, k + 1):
-            ring.append((qx - k, qy + t))
-            ring.append((qx + k, qy + t))
-        for t in range(-k + 1, k):
-            ring.append((qx + t, qy - k))
-            ring.append((qx + t, qy + k))
-        for rx, ry in ring:
-            if _feasible(px, py, qx, qy, rx, ry):
-                dx, dy = rx - qx, ry - qy
-                cand = (dx * dx + dy * dy, ry, rx)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
+    # Greedy: the feasible offset nearest to q, ties broken by smaller y,
+    # then smaller x.  Every feasible r lies in the box 1 <= y <= x < q.x:
+    # q outside the disk on 0 r means q . r < |q|^2, while r left of 0 q
+    # with r.x >= q.x would give r.y > q.y and so q . r > |q|^2.
+    rx, ry = np.tril_indices(qx - 1)
+    rx, ry = rx + 1, ry + 1
+    ok = _feasible(qx, qy, rx, ry)
+    if not ok.any():
         return None
-    return Point(best[2], best[1])
+    rx, ry = rx[ok], ry[ok]
+    k = np.lexsort((rx, ry, (rx - qx) ** 2 + (ry - qy) ** 2))[0]
+    return int(rx[k]), int(ry[k])
 
 
-def first_neighbor(p: Point, params: GridParams) -> Point:
-    """Initial neighbor: x-offset s, y-offset max(1, ceil(s tan(theta0)))."""
-    dy = max(1, math.ceil(params.s * math.tan(params.theta0)))
-    return Point(p.x + params.s, p.y + dy)
+def first_neighbor(params: GridParams) -> tuple[int, int]:
+    """Initial offset: x = s, y = max(1, ceil(s tan(theta0)))."""
+    return params.s, max(1, math.ceil(params.s * math.tan(params.theta0)))
 
 
-def neighbors_q1(p: Point, params: GridParams) -> list[Point]:
-    """Counter-clockwise first-quadrant neighbor sequence of ``p``.
+def neighbors_q1(params: GridParams) -> list[tuple[int, int]]:
+    """Counter-clockwise first-quadrant neighbor offsets of a center.
 
-    Offsets from ``p`` lie in [1, s]^2: the walk starts at x-offset s, each
-    step lowers the x-offset, and no direction exceeds 45 degrees.
+    They lie in [1, s]^2: the walk starts at x-offset s, every step lowers
+    the x-offset, and no direction exceeds 45 degrees.
     """
-    q = first_neighbor(p, params)
-    out = [q]
-    for _ in range(4 * (params.s + params.g)):  # safety cap, never reached
-        r = next_neighbor(p, q, params)
-        if r is None:
-            return out
-        out.append(r)
-        q = r
-    raise RuntimeError("neighbor iteration failed to terminate")
+    walk = [first_neighbor(params)]
+    while (r := next_neighbor(walk[-1], params)) is not None:
+        walk.append(r)
+    return walk
 
 
-def step_states(p: Point, params: GridParams) -> list[StepState]:
-    """Per-step analysis quantities along the Q1 walk from ``p``."""
-    seq = neighbors_q1(p, params)
+def step_states(params: GridParams) -> list[StepState]:
+    """Per-step analysis quantities along the Q1 walk."""
+    seq = neighbors_q1(params)
     states = []
-    for i, q in enumerate(seq):
-        x, y = q.x - p.x, q.y - p.y
-        theta = math.atan2(y, x)
-        if i + 1 < len(seq):
-            d = q.x - seq[i + 1].x
-            h = h_from_eq1(x, y / x, d) if 0 < d < x else None
-            hp = d * x / y if y else None  # d cot(theta)
-        else:
-            d = h = hp = None
-        states.append(StepState(p, q, x, y, theta, d, h, hp))
-    return states
+    for (x, y), (next_x, _) in zip(seq, seq[1:]):  # y >= 1 and 0 < d < x
+        d = x - next_x
+        h = h_from_eq1(x, y / x, d)
+        states.append(StepState(x, y, math.atan2(y, x), d, h, d * x / y))
+    x, y = seq[-1]
+    return states + [StepState(x, y, math.atan2(y, x), None, None, None)]
 
 
 def build(params: GridParams) -> tuple[Graph, GridBuildStats]:
     """Construct and verify the grid LGG; n = g * g points.
 
     Every center point (both coordinates in [floor(g/3), floor(2g/3))) gets
-    the Q1 offsets of the one walk from the origin, and their point
-    reflection as Q3 offsets.  The verifier must report zero conflicts.
+    the Q1 offsets of the walk, and their point reflection as Q3 offsets.
+    The verifier must report zero conflicts.
     """
     g = params.g
     points = PointSet(tuple(Point(x, y) for x in range(g) for y in range(g)))
     lo, hi = g // 3, (2 * g) // 3
-    centers = [(x, y) for x in range(lo, hi) for y in range(lo, hi)]
     # index steps d > 0, so (a, a + d) and (a - d, a) are already canonical
-    steps = [q.x * g + q.y for q in neighbors_q1(Point(0, 0), params)]
+    steps = [x * g + y for x, y in neighbors_q1(params)]
     edges: set[tuple[int, int]] = set()
-    for x, y in centers:
-        a = x * g + y
-        for d in steps:
-            edges.add((a, a + d))
-            edges.add((a - d, a))
+    for x in range(lo, hi):
+        for y in range(lo, hi):
+            a = x * g + y
+            for d in steps:
+                edges.add((a, a + d))
+                edges.add((a - d, a))
 
     graph = Graph(points, tuple(sorted(edges)))
     report = verify(graph)
     if not report.valid:
         raise GridConstructionError(report)
-    q1_counts = dict.fromkeys(centers, len(steps))
-    stats = GridBuildStats(q1_counts, len(graph.edges), len(report.violations))
+    stats = GridBuildStats(len(steps), len(graph.edges), len(report.violations))
     return graph, stats
 
 

@@ -112,9 +112,12 @@ def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
         raw_pts, raw_edges = obj["points"], obj["edges"]
-        eps = float(obj.get("meta", {}).get("epsilon", DEFAULT_EPSILON))
+        eps = obj.get("meta", {}).get("epsilon", DEFAULT_EPSILON)
+        if type(eps) not in (int, float):  # never bool or str
+            raise TypeError(f"meta.epsilon must be a JSON number, got {eps!r}")
+        eps = float(eps)
         real = any(isinstance(c, float) for xy in raw_pts for c in xy)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
     make_point = _json_only((int, float), _point(real, eps))
     ps = _build(PointSet, tuple(_items(raw_pts, make_point, "point {}".format)))

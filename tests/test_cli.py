@@ -209,6 +209,13 @@ class TestUsage:
             ("radius-nan", None, ["construct", "cycle", "--n", "6", "--radius", "nan"]),
             ("radius-inf", None, ["construct", "fan", "--n", "6", "--radius", "inf"]),
             ("radius-zero", None, ["construct", "fan", "--n", "6", "--radius", "0"]),
+            ("bool-epsilon", '{"points": [[0.0, 0.0], [1.0, 1.0]], "edges": [],'
+             ' "meta": {"epsilon": true}}', ["verify"]),
+            ("string-epsilon", '{"points": [[0.0, 0.0], [1.0, 1.0]], "edges": [],'
+             ' "meta": {"epsilon": "1e-9"}}', ["verify"]),
+            pytest.param("huge-epsilon", '{"points": [[0.0, 0.0], [1.0, 1.0]], '
+                         '"edges": [], "meta": {"epsilon": 1' + "0" * 400 + '}}',
+                         ["verify"], id="huge-epsilon"),
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, content, args):

@@ -198,6 +198,10 @@ class TestClassify:
             ([(0, 0), (1, 0), (2, 0), (1, 1)], ConvexKind.GENERAL_CONVEX, False),
             ([(0, 0), (4, 0), (3, 3), (2, 1)], ConvexKind.NON_CONVEX, False),
             ([(0, 0), (5, 1), (6, 3), (5, 5), (0, 4)], ConvexKind.GENERAL_CONVEX, True),
+            # a point inside the upper, left vertical and right vertical edge
+            ([(0, 0), (2, 2), (1, 2), (0, 2), (2, 0)], ConvexKind.GENERAL_CONVEX, False),
+            ([(1, 0), (0, 2), (2, 1), (0, 1), (0, 0)], ConvexKind.GENERAL_CONVEX, False),
+            ([(1, 1), (3, 0), (3, 2), (3, 1), (0, 0)], ConvexKind.GENERAL_CONVEX, False),
         ],
     )
     def test_examples(self, coords, kind, strict):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_int_points, strictly_monotonic_set
@@ -11,7 +12,7 @@ from lgg.graph import (
     Graph,
     GraphError,
     Violation,
-    _splitmix64,
+    _mix,
     candidate_edges,
     random_maximal_lgg,
     verify,
@@ -119,9 +120,12 @@ class TestVerify:
 
 class TestSplitmix:
     def test_reference_values(self):
-        # first outputs of the splitmix64 stream seeded with 0
-        assert _splitmix64(0) == 0xE220A8397B1DCDAF
-        assert _splitmix64(_splitmix64(0)) != _splitmix64(0)
+        # first outputs of the splitmix64 stream seeded with 0: output k
+        # mixes the state k * 0x9E3779B97F4A7C15
+        assert int(_mix(np.uint64(0))) == 0xE220A8397B1DCDAF
+        states = np.arange(3, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        assert _mix(states).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def _oracle_maximal(ps, seed):
@@ -172,8 +176,6 @@ class TestRandomMaximal:
             assert got.edges == _oracle_maximal(ps, seed)
 
     def test_kernel_matches_oracle_on_wide_and_degenerate_sets(self):
-        import numpy as np
-
         from conftest import real_points
         from lgg.geometry import coord_arrays
 

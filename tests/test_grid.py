@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from lgg.geometry import Point
 from lgg.graph import verify
 from lgg.grid import (
     GridBuildStats,
@@ -87,29 +86,26 @@ class TestStepFormulas:
 class TestNextNeighbor:
     def test_analysis_closed_form_step(self):
         # x=100: d = ceil(1.01 * 10) = 11, h about 30.79, so r = (89, 32)
-        p, q = Point(0, 0), Point(100, 1)
-        r = next_neighbor(p, q, GridParams(g=9, mode=Mode.ANALYSIS_GUIDED))
-        assert r == Point(89, 32)
+        r = next_neighbor((100, 1), GridParams(g=9, mode=Mode.ANALYSIS_GUIDED))
+        assert r == (89, 32)
 
     def test_modes_stop_at_small_offsets(self):
-        p, q = Point(0, 0), Point(2, 2)
         for mode in Mode:
-            assert next_neighbor(p, q, GridParams(g=9, mode=mode)) is None
+            assert next_neighbor((2, 2), GridParams(g=9, mode=mode)) is None
 
     def test_greedy_matches_exhaustive_search(self):
         rng = random.Random(21)
         params = GridParams(g=9, mode=Mode.GREEDY_FEASIBLE)
         for _ in range(200):
-            px, py = 0, 0
             qx = rng.randrange(2, 40)
             qy = rng.randrange(1, qx + 1)
-            got = next_neighbor(Point(px, py), Point(qx, qy), params)
-            # exhaustive scan over a window comfortably containing the ring cap
+            got = next_neighbor((qx, qy), params)
+            # exhaustive scan over a window far larger than the search box
             span = 2 * (qx + qy) + 6
             best = None
             for rx in range(qx - span, qx + span + 1):
                 for ry in range(qy - span, qy + span + 1):
-                    if _feasible(px, py, qx, qy, rx, ry):
+                    if _feasible(qx, qy, rx, ry):
                         d2 = (rx - qx) ** 2 + (ry - qy) ** 2
                         cand = (d2, ry, rx)
                         if best is None or cand < best:
@@ -117,41 +113,36 @@ class TestNextNeighbor:
             if best is None:
                 assert got is None
             else:
-                assert got == Point(best[2], best[1])
+                assert got == (best[2], best[1])
 
     def test_successor_is_feasible(self):
-        params = GridParams(g=9)
-        p, q = Point(0, 0), Point(50, 3)
-        r = next_neighbor(p, q, params)
+        r = next_neighbor((50, 3), GridParams(g=9))
         assert r is not None
-        assert _feasible(p.x, p.y, q.x, q.y, r.x, r.y)
+        assert _feasible(50, 3, *r)
 
 
 class TestWalk:
     def test_first_neighbor(self):
         params = GridParams(g=90)  # s = 30
-        q = first_neighbor(Point(10, 10), params)
-        assert q == Point(40, 11)  # ceil(30 * tan(1.74e-3)) = 1
+        assert first_neighbor(params) == (30, 1)  # ceil(30 * tan(1.74e-3)) = 1
 
     def test_walk_angles_strictly_increase(self):
         for mode in Mode:
-            params = GridParams(g=150, mode=mode)
-            p = Point(50, 50)
-            seq = neighbors_q1(p, params)
+            seq = neighbors_q1(GridParams(g=150, mode=mode))
             assert len(seq) >= 2
-            angles = [math.atan2(q.y - p.y, q.x - p.x) for q in seq]
+            angles = [math.atan2(y, x) for x, y in seq]
             assert all(a < b for a, b in zip(angles, angles[1:]))
             assert all(0 < a <= math.pi / 4 + 1e-12 for a in angles)
 
     def test_walk_x_offsets_strictly_decrease(self):
         for mode in Mode:
-            seq = neighbors_q1(Point(0, 0), GridParams(g=300, mode=mode))
-            xs = [q.x for q in seq]
+            seq = neighbors_q1(GridParams(g=300, mode=mode))
+            xs = [x for x, _ in seq]
             assert all(a > b for a, b in zip(xs, xs[1:]))
 
     def test_step_states_satisfy_eq1(self):
-        states = step_states(Point(0, 0), GridParams(g=300))
-        assert states[0].q == first_neighbor(Point(0, 0), GridParams(g=300))
+        states = step_states(GridParams(g=300))
+        assert (states[0].x, states[0].y) == first_neighbor(GridParams(g=300))
         for st in states[:-1]:
             assert st.d is not None and st.h is not None
             tan = st.y / st.x
@@ -163,22 +154,21 @@ class TestWalk:
 
 
 def _reference_build(params):
-    """Per-center walks: Q1 from the center, Q3 from its reflection, reflected back."""
+    """Per-center neighbor coordinates: the walk's Q1 offsets and their reflection."""
     g, s = params.g, params.s
     lo, hi = g // 3, (2 * g) // 3
-    edges, q1_counts = set(), {}
+    walk = neighbors_q1(params)
+    edges = set()
     for px in range(lo, hi):
         for py in range(lo, hi):
-            q1 = neighbors_q1(Point(px, py), params)
-            rx, ry = g - 1 - px, g - 1 - py
-            q3 = [Point(g - 1 - q.x, g - 1 - q.y)
-                  for q in neighbors_q1(Point(rx, ry), params)]
-            q1_counts[(px, py)] = len(q1)
-            for q in q1 + q3:
-                assert 1 <= abs(q.x - px) <= s and 1 <= abs(q.y - py) <= s
-                a, b = px * g + py, q.x * g + q.y
+            q1 = [(px + x, py + y) for x, y in walk]
+            q3 = [(px - x, py - y) for x, y in walk]
+            for qx, qy in q1 + q3:
+                assert 1 <= abs(qx - px) <= s and 1 <= abs(qy - py) <= s
+                assert 0 <= qx < g and 0 <= qy < g
+                a, b = px * g + py, qx * g + qy
                 edges.add((min(a, b), max(a, b)))
-    return tuple(sorted(edges)), GridBuildStats(q1_counts, len(edges), 0)
+    return tuple(sorted(edges)), GridBuildStats(len(walk), len(edges), 0)
 
 
 class TestBuild:
@@ -197,9 +187,8 @@ class TestBuild:
             assert graph.n == g * g
             assert stats.total_edges == len(graph.edges)
             # every center point has at least one first-quadrant neighbor
-            assert stats.q1_counts
-            assert min(stats.q1_counts.values()) >= 1
-            assert stats.total_edges >= len(stats.q1_counts)
+            assert stats.q1_count >= 1
+            assert stats.total_edges >= (2 * g // 3 - g // 3) ** 2
 
     def test_edge_symmetry_under_point_reflection(self):
         params = GridParams(g=30)

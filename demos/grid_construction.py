@@ -14,15 +14,16 @@ from lgg.io import graph_to_svg, save_graph
 # Build a 60 x 60 grid (3600 points) with the greedy step rule: every
 # center point walks counter-clockwise through its first quadrant, always
 # taking the nearest grid point that stays outside the current diametral
-# disk and below its tangent.
+# disk and below its tangent. ``build`` runs the verifier on every graph
+# it returns and raises ``InvariantViolation`` on any conflict.
 params = GridParams(g=60)
 graph, stats = build(params)
-print(f"greedy    g=60: {stats.total_edges} edges, {stats.conflicts} conflicts")
+print(f"greedy    g=60: {stats.total_edges} edges, verified")
 
 # The analysis-guided rule takes the closed-form step instead: x-offset
 # ceil(c1 sqrt(x)) and y-offset floor(h + 1) from the step equation.
 graph_a, stats_a = build(GridParams(g=60, mode=Mode.ANALYSIS_GUIDED))
-print(f"analysis  g=60: {stats_a.total_edges} edges, {stats_a.conflicts} conflicts")
+print(f"analysis  g=60: {stats_a.total_edges} edges, verified")
 
 # Look at the walk that every center point shares, as offsets from the
 # center. The edge direction starts nearly horizontal and rises step by

@@ -29,7 +29,6 @@ from .grid import (
     h_from_eq1,
     neighbors_q1,
     next_neighbor,
-    predicted_bounds,
     step_states,
 )
 from .independence import (
@@ -76,7 +75,6 @@ __all__ = [
     "neighborhood_coloring",
     "neighbors_q1",
     "next_neighbor",
-    "predicted_bounds",
     "random_maximal_lgg",
     "step_states",
     "verify",

@@ -3,9 +3,10 @@
 Subcommands: ``construct grid|path|fan|cycle|ladder``, ``verify``,
 ``extremal``, ``indepset``, ``scaling``, ``emit-svg``.  Exit status 0 on
 success, 1 on invariant violations (an invalid graph under ``verify`` or
-``indepset``, a failed construction, too many points for ``extremal``),
-2 on usage or parse errors, including files that cannot be opened or
-decoded and out-of-range construction flags.
+``indepset``, a built graph or witness that fails verification, a points
+file that is not strictly monotonic for ``path``, too many points for
+``extremal``), 2 on usage or parse errors, including files that cannot be
+opened or decoded and out-of-range construction flags.
 
 The ``scaling`` command runs grid builds for several sides, one after
 another, and emits a CSV with a trailing log-log fit line.
@@ -22,8 +23,8 @@ from typing import Sequence
 from . import convex, grid, io
 from .extremal import max_lgg
 from .geometry import DEFAULT_EPSILON
-from .graph import verify
-from .independence import InvariantViolation, independent_set
+from .graph import InvariantViolation, verify
+from .independence import independent_set
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             },
         }
         _write_out(io.graph_to_json(g, meta), args.output)
-        print(f"n={g.n} edges={stats.total_edges} conflicts={stats.conflicts}",
-              file=sys.stderr)
+        print(f"n={g.n} edges={stats.total_edges}", file=sys.stderr)
         return 0
     if kind == "path":
         cons = convex.monotonic_path(io.load_points(args.points, args.epsilon))
@@ -275,7 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (io.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (grid.GridConstructionError, InvariantViolation, ValueError) as exc:
+    except (InvariantViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

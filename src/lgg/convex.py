@@ -1,8 +1,8 @@
 """Extremal constructions on convex point sets.
 
-Each builder returns a ``Construction``: the point set, the edge set, the
-achieved edge count, and the convex class of the points.  Every returned
-graph passes the verifier; construction raises if it would not.
+Each builder returns a ``Construction``: the point set, the graph, and the
+convex class of the points.  ``ConstructionError`` means the input was
+rejected; a built graph that fails the verifier raises ``InvariantViolation``.
 
 The real-coordinate builders (fan, cycle) place points on circles of a
 large default radius so that all conflict margins dwarf the floating-point
@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 
 from .geometry import DEFAULT_EPSILON, ConvexClass, Point, PointSet, classify
-from .graph import Graph, verify
+from .graph import Graph, checked
 
 DEFAULT_RADIUS = float(2**20)
 
 
 class ConstructionError(ValueError):
-    """Input rejected or a built graph failed verification."""
+    """Input rejected: bad size, bad radius, or a point set of the wrong class."""
 
 
 @dataclass(frozen=True)
@@ -29,24 +29,20 @@ class Construction:
     name: str
     points: PointSet
     graph: Graph
-    expected_edges: int
     claimed_class: ConvexClass
 
 
-def _checked(name: str, ps: PointSet, edges, expected: int) -> Construction:
-    graph = Graph(ps, tuple(edges))
-    report = verify(graph)
-    if not report.valid:
-        raise ConstructionError(
-            f"{name}: built graph has {len(report.violations)} conflicts"
-        )
-    return Construction(name, ps, graph, expected, classify(ps))
+def _checked(name: str, ps: PointSet, edges) -> Construction:
+    return Construction(name, ps, checked(ps, edges), classify(ps))
 
 
 def _on_circle(radius: float, step: float, count: int) -> list[Point]:
     """``count`` points at angles 0, step, 2 step, ... on a circle about 0."""
-    if not 0 < radius < math.inf:
-        raise ConstructionError(f"radius must be positive and finite, got {radius!r}")
+    # keeps squared distances clear of float64 overflow and underflow
+    if not 2.0**-256 <= radius <= 2.0**256:
+        raise ConstructionError(
+            f"radius must be finite and in [2**-256, 2**256], got {radius!r}"
+        )
     return [
         Point(radius * math.cos(k * step), radius * math.sin(k * step), DEFAULT_EPSILON)
         for k in range(count)
@@ -66,7 +62,7 @@ def monotonic_path(ps: PointSet) -> Construction:
             f" (strict={cls.strict})"
         )
     edges = [(i, i + 1) for i in range(len(ps) - 1)]
-    return _checked("monotonic_path", ps, edges, len(ps) - 1)
+    return _checked("monotonic_path", ps, edges)
 
 
 def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
@@ -85,7 +81,7 @@ def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     center = n - 1
     edges = [(k, k + 1) for k in range(n - 2)]
     edges += [(center, k) for k in range(n - 1)]
-    return _checked("half_convex_fan", PointSet(tuple(pts)), edges, 2 * n - 3)
+    return _checked("half_convex_fan", PointSet(tuple(pts)), edges)
 
 
 def circle_cycle(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
@@ -98,7 +94,7 @@ def circle_cycle(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
         raise ConstructionError("circle_cycle needs n >= 3")
     pts = PointSet(tuple(_on_circle(radius, 2.0 * math.pi / n, n)))
     edges = [(k, (k + 1) % n) for k in range(n)]
-    return _checked("circle_cycle", pts, edges, n)
+    return _checked("circle_cycle", pts, edges)
 
 
 def centrally_symmetric_ladder(n: int) -> Construction:
@@ -125,7 +121,5 @@ def centrally_symmetric_ladder(n: int) -> Construction:
         if i - 1 >= -half:
             edges.append((left[i], right[i - 1]))
     # The clamped diagonal families yield 2n - 6 edges, above the 2n - 8
-    # the index ranges nominally promise; report the exact count.
-    return _checked(
-        "centrally_symmetric_ladder", PointSet(tuple(pts)), edges, len(edges)
-    )
+    # the index ranges nominally promise.
+    return _checked("centrally_symmetric_ladder", PointSet(tuple(pts)), edges)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .geometry import PointSet, edges_conflict
-from .graph import Graph, candidate_edges, verify
+from .graph import Graph, candidate_edges, checked
 
 MAX_POINTS = 14
 
@@ -115,7 +115,5 @@ def max_lgg(ps: PointSet) -> ExtremalResult:
     """Exact maximum LGG edge count with a verifier-checked witness."""
     cg = build_conflict_graph(ps)
     best, nodes = max_independent_candidates(cg)
-    witness = Graph(ps, tuple(cg.candidates[a] for a in best))
-    report = verify(witness)
-    assert report.valid, "extremal witness failed verification"
+    witness = checked(ps, (cg.candidates[a] for a in best))
     return ExtremalResult(len(best), witness, nodes)

@@ -28,6 +28,10 @@ class GraphError(ValueError):
     """Structurally malformed graph (bad indices, duplicates, self-loops)."""
 
 
+class InvariantViolation(RuntimeError):
+    """A graph broke a consequence of LGG validity; it is not a valid LGG."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """A point set with an undirected edge list over point indices.
@@ -121,6 +125,18 @@ def verify(g: Graph) -> ConflictReport:
             bad = np.flatnonzero(~ok)
             found += zip(u[bad].tolist(), v[bad].tolist(), w[bad].tolist())
     return _report(g.points, found)
+
+
+def checked(points: PointSet, edges) -> Graph:
+    """``Graph(points, edges)``; raises ``InvariantViolation`` unless it verifies."""
+    graph = Graph(points, tuple(edges))
+    if bad := verify(graph).violations:
+        v = bad[0]
+        raise InvariantViolation(
+            f"built graph has {len(bad)} conflicts, first at vertex {v.u}"
+            f" with neighbors {v.v} and {v.w} ({v.kind})"
+        )
+    return graph
 
 
 def _report(pts: PointSet, triples) -> ConflictReport:

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import Point, PointSet, outside_disk
-from .graph import ConflictReport, Graph, verify
+from .graph import Graph, checked
 
 
 class Mode(Enum):
@@ -72,15 +72,6 @@ class StepState:
 class GridBuildStats:
     q1_count: int  # first-quadrant neighbors of every center
     total_edges: int
-    conflicts: int
-
-
-class GridConstructionError(RuntimeError):
-    """The built graph failed verification (should be unreachable)."""
-
-    def __init__(self, report: ConflictReport):
-        super().__init__(f"{len(report.violations)} conflicts in built grid graph")
-        self.report = report
 
 
 def h_from_eq1(x_i: int, tan_theta_i: float, d_i: int) -> float:
@@ -182,7 +173,7 @@ def build(params: GridParams) -> tuple[Graph, GridBuildStats]:
 
     Every center point (both coordinates in [floor(g/3), floor(2g/3))) gets
     the Q1 offsets of the walk, and their point reflection as Q3 offsets.
-    The verifier must report zero conflicts.
+    Raises ``InvariantViolation`` if the verifier finds a conflict.
     """
     g = params.g
     points = PointSet(tuple(Point(x, y) for x in range(g) for y in range(g)))
@@ -197,29 +188,6 @@ def build(params: GridParams) -> tuple[Graph, GridBuildStats]:
                 edges.add((a, a + d))
                 edges.add((a - d, a))
 
-    graph = Graph(points, tuple(sorted(edges)))
-    report = verify(graph)
-    if not report.valid:
-        raise GridConstructionError(report)
-    stats = GridBuildStats(len(steps), len(graph.edges), len(report.violations))
-    return graph, stats
+    graph = checked(points, sorted(edges))
+    return graph, GridBuildStats(len(steps), len(graph.edges))
 
-
-def predicted_bounds(
-    n: int, k: int, params: GridParams
-) -> tuple[float, float, float]:
-    """Closed-form step bounds: (x lower bound, y upper bound, neighbor count).
-
-    x_k >= sqrt(n)/3 - k c1 n^(1/4) / sqrt(3)
-    y_k <= tan(theta0) sqrt(n)/3 + c1 k n^(1/4) / (sqrt(3) tan(theta0)) + k
-    m   >= 1e-4 n^(1/4)
-    """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    rt = math.sqrt(n)
-    q = n**0.25
-    t0 = math.tan(params.theta0)
-    x_lower = rt / 3.0 - k * params.c1 * q / math.sqrt(3.0)
-    y_upper = t0 * rt / 3.0 + params.c1 * k * q / (math.sqrt(3.0) * t0) + k
-    m_pred = 1e-4 * q
-    return x_lower, y_upper, m_pred

@@ -17,16 +17,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geometry import PointSet
-from .graph import Graph
+from .graph import Graph, InvariantViolation
 
 
 class Direction(Enum):
     NON_DECREASING = "non-decreasing"
     NON_INCREASING = "non-increasing"
-
-
-class InvariantViolation(RuntimeError):
-    """A structural consequence of LGG validity failed; input is not an LGG."""
 
 
 @dataclass(frozen=True)

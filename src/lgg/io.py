@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TextIO
+import sys
 
 from .geometry import DEFAULT_EPSILON, Point, PointSet
 from .graph import Graph
@@ -113,11 +113,13 @@ def graph_from_json(text: str) -> Graph:
         obj = json.loads(text)
         raw_pts, raw_edges = obj["points"], obj["edges"]
         eps = obj.get("meta", {}).get("epsilon", DEFAULT_EPSILON)
-        if type(eps) not in (int, float):  # never bool or str
-            raise TypeError(f"meta.epsilon must be a JSON number, got {eps!r}")
+        if type(eps) not in (int, float) or not 0 <= eps <= sys.float_info.max:
+            raise ValueError(
+                f"meta.epsilon must be a finite nonnegative JSON number, got {eps!r}"
+            )
         eps = float(eps)
         real = any(isinstance(c, float) for xy in raw_pts for c in xy)
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
     make_point = _json_only((int, float), _point(real, eps))
     ps = _build(PointSet, tuple(_items(raw_pts, make_point, "point {}".format)))
@@ -126,13 +128,9 @@ def graph_from_json(text: str) -> Graph:
     return _build(Graph, ps, tuple(edges))
 
 
-def save_graph(g: Graph, path_or_file: str | TextIO, meta: dict | None = None) -> None:
-    text = graph_to_json(g, meta)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+def save_graph(g: Graph, path: str, meta: dict | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(graph_to_json(g, meta))
 
 
 def load_graph(path: str) -> Graph:

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lgg.graph
 from lgg.cli import FitError, ScalingSample, fit_exponent, main
 from lgg.io import load_graph
 
@@ -47,7 +52,7 @@ class TestConstruct:
         assert run(["construct", "grid", "--side", "12", "-o", str(out)]) == 0
         g = load_graph(str(out))
         assert g.n == 144
-        assert "conflicts=0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"n=144 edges={len(g.edges)}\n"
 
     def test_fan_cycle_ladder(self, tmp_path):
         for kind, n, expect in (("fan", 9, 15), ("cycle", 9, 9), ("ladder", 16, 26)):
@@ -216,6 +221,14 @@ class TestUsage:
             pytest.param("huge-epsilon", '{"points": [[0.0, 0.0], [1.0, 1.0]], '
                          '"edges": [], "meta": {"epsilon": 1' + "0" * 400 + '}}',
                          ["verify"], id="huge-epsilon"),
+            ("radius-huge", None, ["construct", "cycle", "--n", "64", "--radius", "1e300"]),
+            ("radius-tiny", None, ["construct", "fan", "--n", "64", "--radius", "1e-300"]),
+            ("negative-epsilon", '{"points": [[0, 0], [1, 1]], "edges": [],'
+             ' "meta": {"epsilon": -1}}', ["verify"]),
+            ("nan-epsilon", '{"points": [[0, 0], [1, 1]], "edges": [],'
+             ' "meta": {"epsilon": NaN}}', ["verify"]),
+            ("negative-epsilon-real", '{"points": [[0.5, 0], [1, 1]], "edges": [],'
+             ' "meta": {"epsilon": -1}}', ["verify"]),
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, content, args):
@@ -235,6 +248,69 @@ class TestUsage:
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and culprit in err
+
+
+MONOTONE_CSV = "0,5\n1,3\n3,2\n6,1\n10,0\n"
+
+#: patches ``lgg.graph.verify`` to report one conflict on every graph
+FAIL_VERIFY = (
+    "import lgg.graph as g; g.verify = lambda graph: "
+    "g.ConflictReport((g.Violation(0, 1, 2, 'interior'),))"
+)
+
+
+def _one_conflict(graph):
+    return lgg.graph.ConflictReport((lgg.graph.Violation(0, 1, 2, "interior"),))
+
+
+class TestFailedVerification:
+    """A built graph the verifier rejects exits 1 with one error line."""
+
+    @pytest.mark.parametrize("args", [
+        ["construct", "grid", "--side", "9"],
+        ["construct", "path", "--points"],
+        ["construct", "fan", "--n", "6"],
+        ["construct", "cycle", "--n", "6"],
+        ["construct", "ladder", "--n", "12"],
+        ["extremal", "--points"],
+    ], ids=lambda args: "-".join(args[:2]))
+    def test_exits_1(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr(lgg.graph, "verify", _one_conflict)
+        if args[-1] == "--points":
+            pts = tmp_path / "pts.csv"
+            pts.write_text(MONOTONE_CSV)
+            args = args + [str(pts)]
+        assert run(args) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: built graph has 1 conflicts, first at vertex 0"
+            " with neighbors 1 and 2 (interior)\n"
+        )
+
+    def test_extremal_raises_under_optimize(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(MONOTONE_CSV)
+        script = "\n".join([
+            "import sys",
+            FAIL_VERIFY,
+            "from lgg.extremal import max_lgg",
+            "from lgg.io import load_points",
+            "try:",
+            "    max_lgg(load_points(sys.argv[1]))",
+            "except g.InvariantViolation:",
+            "    print('raised', sys.flags.optimize)",
+            "from lgg.cli import main",
+            "sys.exit(main(['extremal', '--points', sys.argv[1]]))",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", script, str(pts)],
+                              capture_output=True, text=True, env=env)
+        assert done.stdout == "raised 1\n"
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: built graph has 1 conflicts")
+        assert "Traceback" not in done.stderr
 
 
 def _json_values():

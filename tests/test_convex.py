@@ -22,7 +22,7 @@ class TestMonotonicPath:
         ps = PointSet.of([(0, 9), (2, 6), (5, 5), (9, 0)])
         cons = monotonic_path(ps)
         assert cons.graph.edges == ((0, 1), (1, 2), (2, 3))
-        assert cons.expected_edges == 3
+        assert len(cons.graph.edges) == 3
         assert verify(cons.graph).valid
         assert cons.claimed_class.is_monotonic and cons.claimed_class.strict
 
@@ -54,7 +54,7 @@ class TestFan:
     @pytest.mark.parametrize("n", [4, 5, 8, 17, 64])
     def test_edge_count_and_validity(self, n):
         cons = half_convex_fan(n)
-        assert len(cons.graph.edges) == 2 * n - 3 == cons.expected_edges
+        assert len(cons.graph.edges) == 2 * n - 3
         assert verify(cons.graph).valid
 
     def test_degrees(self):
@@ -85,7 +85,7 @@ class TestCycle:
     @pytest.mark.parametrize("n", [3, 4, 7, 32, 256])
     def test_edge_count_and_validity(self, n):
         cons = circle_cycle(n)
-        assert len(cons.graph.edges) == n == cons.expected_edges
+        assert len(cons.graph.edges) == n
         assert verify(cons.graph).valid
         assert all(cons.graph.degree(v) == 2 for v in range(n))
 
@@ -107,13 +107,22 @@ class TestCycle:
                 circle_cycle(5, radius=radius)
 
 
+@pytest.mark.parametrize("build", [half_convex_fan, circle_cycle])
+def test_radius_bounds(build):
+    for radius in (2.0**-256, 2.0**256):
+        for n in (4, 64, 1000):
+            assert verify(build(n, radius=radius).graph).valid
+    for radius in (2.0**-257, 2.0**257, 1e-300, 1e300):
+        with pytest.raises(ConstructionError, match="radius"):
+            build(64, radius=radius)
+
+
 class TestLadder:
     @pytest.mark.parametrize("n", [12, 16, 20, 40, 64])
     def test_edge_count_and_validity(self, n):
         cons = centrally_symmetric_ladder(n)
         assert len(cons.points) == n  # two columns of n/2 points
         assert len(cons.graph.edges) >= 2 * n - 8
-        assert len(cons.graph.edges) == cons.expected_edges
         assert verify(cons.graph).valid
 
     def test_classification(self):

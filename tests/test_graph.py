@@ -11,9 +11,11 @@ from lgg.geometry import BOUNDARY, PointSet, in_closed_disk
 from lgg.graph import (
     Graph,
     GraphError,
+    InvariantViolation,
     Violation,
     _mix,
     candidate_edges,
+    checked,
     random_maximal_lgg,
     verify,
     verify_direct,
@@ -64,6 +66,18 @@ class TestVerify:
         g = Graph(ps, ((0, 2), (0, 1)))
         report = verify(g)
         assert [v.kind for v in report.violations] == ["interior"]
+
+    def test_checked_rejects_conflicts(self):
+        ps = PointSet.of([(0, 0), (1, 0), (2, 0)])
+        # (1, 0) lies on the edge from (0, 0) to (2, 0)
+        with pytest.raises(InvariantViolation, match="1 conflicts.*vertex 0"):
+            checked(ps, [(0, 1), (0, 2)])
+        assert checked(ps, [(1, 0), (2, 1)]) == Graph(ps, ((0, 1), (1, 2)))
+
+    def test_invariant_violation_is_shared(self):
+        import lgg.independence
+
+        assert lgg.independence.InvariantViolation is InvariantViolation
 
     def test_matches_direct_definition_on_random_graphs(self):
         rng = random.Random(97)

@@ -17,7 +17,6 @@ from lgg.grid import (
     h_from_eq1,
     neighbors_q1,
     next_neighbor,
-    predicted_bounds,
     step_states,
 )
 
@@ -168,7 +167,7 @@ def _reference_build(params):
                 assert 0 <= qx < g and 0 <= qy < g
                 a, b = px * g + py, qx * g + qy
                 edges.add((min(a, b), max(a, b)))
-    return tuple(sorted(edges)), GridBuildStats(len(walk), len(edges), 0)
+    return tuple(sorted(edges)), GridBuildStats(len(walk), len(edges))
 
 
 class TestBuild:
@@ -183,7 +182,6 @@ class TestBuild:
     def test_small_builds_are_valid(self, mode):
         for g in (9, 30):
             graph, stats = build(GridParams(g=g, mode=mode))
-            assert stats.conflicts == 0
             assert graph.n == g * g
             assert stats.total_edges == len(graph.edges)
             # every center point has at least one first-quadrant neighbor
@@ -215,21 +213,3 @@ class TestBuild:
         _, analysis = build(GridParams(g=30, mode=Mode.ANALYSIS_GUIDED))
         assert greedy.total_edges >= analysis.total_edges
 
-
-class TestPredictedBounds:
-    def test_neighbor_count_at_1e16(self):
-        _, _, m = predicted_bounds(10**16, 0, GridParams(g=30))
-        assert m == pytest.approx(1.0)
-
-    def test_x_lower_decreases_and_y_upper_increases_in_k(self):
-        params = GridParams(g=30)
-        xs = [predicted_bounds(10**8, k, params)[0] for k in range(5)]
-        ys = [predicted_bounds(10**8, k, params)[1] for k in range(5)]
-        assert all(a > b for a, b in zip(xs, xs[1:]))
-        assert all(a < b for a, b in zip(ys, ys[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            predicted_bounds(0, 0, GridParams(g=30))
-        with pytest.raises(ValueError):
-            predicted_bounds(10, -1, GridParams(g=30))

@@ -71,6 +71,13 @@ class TestGraphJson:
         with pytest.raises(FormatError):
             graph_from_json('{"points": [[0, 0]]}')
 
+    @pytest.mark.parametrize("eps", ["-1", "-0.5", "NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("points", ["[[0, 0], [1, 1]]", "[[0.5, 0], [1, 1]]"])
+    def test_bad_epsilon_is_named(self, points, eps):
+        text = f'{{"points": {points}, "edges": [], "meta": {{"epsilon": {eps}}}}}'
+        with pytest.raises(FormatError, match="meta.epsilon"):
+            graph_from_json(text)
+
     def test_save_and_load(self, tmp_path):
         ps = PointSet.of([(0, 0), (5, 1), (9, 7)])
         g = Graph(ps, ((0, 1), (1, 2)))

@@ -136,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = io.load_graph(args.graph)
     report = verify(g)
     if report.valid:
-        print(f"valid: {g.n} points, {len(g.edges)} edges, 0 violations")
+        print(f"valid: {g.n} points, {len(g.edge_array)} edges, 0 violations")
         return 0
     for v in report.violations:
         print(f"violation: vertex {v.u}, neighbors {v.v} and {v.w} ({v.kind})")
@@ -257,6 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Range checks of the flags argparse only converts; a bad one is a usage error."""
+    eps = getattr(args, "epsilon", 0.0)
+    if not 0.0 <= eps < math.inf:
+        raise io.FormatError(f"--epsilon must be finite and nonnegative, got {eps!r}")
+    if getattr(args, "width", 1) < 1:
+        raise io.FormatError(f"--width must be a positive integer, got {args.width}")
+
+
 _HANDLERS = {
     "construct": _cmd_construct,
     "verify": _cmd_verify,
@@ -271,6 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return _HANDLERS[args.command](args)
     except (io.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

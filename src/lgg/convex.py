@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DEFAULT_EPSILON, ConvexClass, Point, PointSet, classify
+from .geometry import DEFAULT_EPSILON, ConvexClass, PointSet, classify
 from .graph import Graph, checked
 
 DEFAULT_RADIUS = float(2**20)
@@ -36,7 +36,7 @@ def _checked(name: str, ps: PointSet, edges) -> Construction:
     return Construction(name, ps, checked(ps, edges), classify(ps))
 
 
-def _on_circle(radius: float, step: float, count: int) -> list[Point]:
+def _on_circle(radius: float, step: float, count: int) -> list[tuple[float, float]]:
     """``count`` points at angles 0, step, 2 step, ... on a circle about 0."""
     # keeps squared distances clear of float64 overflow and underflow
     if not 2.0**-256 <= radius <= 2.0**256:
@@ -44,8 +44,7 @@ def _on_circle(radius: float, step: float, count: int) -> list[Point]:
             f"radius must be finite and in [2**-256, 2**256], got {radius!r}"
         )
     return [
-        Point(radius * math.cos(k * step), radius * math.sin(k * step), DEFAULT_EPSILON)
-        for k in range(count)
+        (radius * math.cos(k * step), radius * math.sin(k * step)) for k in range(count)
     ]
 
 
@@ -77,11 +76,11 @@ def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     if n < 4:
         raise ConstructionError("half_convex_fan needs n >= 4")
     pts = _on_circle(radius, (math.pi / 2) / (n - 2), n - 1)
-    pts.append(Point(0.0, 0.0, DEFAULT_EPSILON))
+    pts.append((0.0, 0.0))
     center = n - 1
     edges = [(k, k + 1) for k in range(n - 2)]
     edges += [(center, k) for k in range(n - 1)]
-    return _checked("half_convex_fan", PointSet(tuple(pts)), edges)
+    return _checked("half_convex_fan", PointSet.of(pts, DEFAULT_EPSILON), edges)
 
 
 def circle_cycle(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
@@ -92,7 +91,7 @@ def circle_cycle(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     """
     if n < 3:
         raise ConstructionError("circle_cycle needs n >= 3")
-    pts = PointSet(tuple(_on_circle(radius, 2.0 * math.pi / n, n)))
+    pts = PointSet.of(_on_circle(radius, 2.0 * math.pi / n, n), DEFAULT_EPSILON)
     edges = [(k, (k + 1) % n) for k in range(n)]
     return _checked("circle_cycle", pts, edges)
 
@@ -108,7 +107,7 @@ def centrally_symmetric_ladder(n: int) -> Construction:
         raise ConstructionError("ladder needs n >= 12 with n divisible by 4")
     half = n // 4
     rows = range(-half, half)
-    pts = [Point(-1, i) for i in rows] + [Point(1, i) for i in rows]
+    pts = [(-1, i) for i in rows] + [(1, i) for i in rows]
     left = {i: k for k, i in enumerate(rows)}
     right = {i: k + n // 2 for k, i in enumerate(rows)}
     edges = []
@@ -122,4 +121,4 @@ def centrally_symmetric_ladder(n: int) -> Construction:
             edges.append((left[i], right[i - 1]))
     # The clamped diagonal families yield 2n - 6 edges, above the 2n - 8
     # the index ranges nominally promise.
-    return _checked("centrally_symmetric_ladder", PointSet(tuple(pts)), edges)
+    return _checked("centrally_symmetric_ladder", PointSet.of(pts), edges)

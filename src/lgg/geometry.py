@@ -3,7 +3,10 @@
 Points carry either exact integer coordinates (all predicates are then
 decided with exact integer arithmetic) or double-precision coordinates
 tagged with a relative tolerance ``eps``.  The two kinds never mix inside
-one computation.
+one computation.  A ``PointSet`` stores its coordinates as two read-only
+arrays, int64 or float64, which the vectorised layers use directly;
+``Point`` is the scalar form that ``ps[i]`` returns and the scalar
+predicates take.
 
 The central predicate is the diametral-disk test: a point ``r`` lies in the
 closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``.
@@ -19,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,6 +44,30 @@ class CoordinateKindError(TypeError):
     """Raised when exact-integer and real points meet in one predicate."""
 
 
+def _dtype(values) -> type:
+    """int64 when every value is a Python int, float64 when every one is a float."""
+    kinds = set(map(type, values))
+    for dtype, base in ((np.int64, int), (np.float64, float)):
+        if all(issubclass(k, base) and k is not bool for k in kinds):
+            return dtype
+    names = sorted(k.__name__ for k in kinds)
+    raise CoordinateKindError(f"coordinates must be all int or all float, got {names}")
+
+
+def _in_range(xs, ys, eps: float, exact: bool):
+    """Which points (scalars or arrays) lie in their kind's range, and the rule."""
+    if exact:
+        if eps != 0.0:
+            raise ValueError("exact points carry eps = 0")
+        lim = MAX_EXACT_COORD
+        ok = (-lim <= xs) & (xs <= lim) & (-lim <= ys) & (ys <= lim)
+        return ok, f"exact coordinate magnitude exceeds {lim}"
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be finite and nonnegative")
+    # false for nan as well as for infinities
+    return (abs(xs) < math.inf) & (abs(ys) < math.inf), "non-finite coordinate"
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of the plane.
@@ -53,60 +82,67 @@ class Point:
     eps: float = 0.0
 
     def __post_init__(self) -> None:
-        ix = isinstance(self.x, int) and not isinstance(self.x, bool)
-        iy = isinstance(self.y, int) and not isinstance(self.y, bool)
-        if ix != iy:
-            raise CoordinateKindError(
-                f"mixed coordinate kinds in point ({self.x!r}, {self.y!r})"
-            )
-        if ix:
-            if abs(self.x) > MAX_EXACT_COORD or abs(self.y) > MAX_EXACT_COORD:
-                raise ValueError(
-                    f"exact coordinate magnitude exceeds {MAX_EXACT_COORD}"
-                )
-            if self.eps != 0.0:
-                raise ValueError("exact points carry eps = 0")
-        else:
-            if not (isinstance(self.x, float) and isinstance(self.y, float)):
-                raise CoordinateKindError(
-                    f"coordinates must be int or float, got {type(self.x)}"
-                )
-            if not (math.isfinite(self.x) and math.isfinite(self.y)):
-                raise ValueError(f"non-finite coordinate ({self.x!r}, {self.y!r})")
-            if not 0.0 <= self.eps < math.inf:
-                raise ValueError("eps must be finite and nonnegative")
+        exact = _dtype((self.x, self.y)) is np.int64
+        ok, problem = _in_range(self.x, self.y, self.eps, exact)
+        if not ok:
+            raise ValueError(f"{problem} ({self.x!r}, {self.y!r})")
 
     @property
     def is_exact(self) -> bool:
         return isinstance(self.x, int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """An ordered sequence of distinct points of one coordinate kind and eps."""
+    """Distinct points of one kind and eps, as read-only int64 or float64 arrays.
 
-    points: tuple[Point, ...]
+    ``ps[i]`` and iteration give ``Point`` objects, built on first use.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    eps: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.points:
+        xs, ys, eps = np.array(self.xs), np.array(self.ys), float(self.eps)
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            shapes = f"{xs.shape} and {ys.shape}"
+            raise ValueError(f"coordinates must be 1-D and of one length: {shapes}")
+        if not xs.size:
             raise ValueError("point set must be nonempty")
-        if len({p.is_exact for p in self.points}) > 1:
-            raise CoordinateKindError("point set mixes exact and real points")
-        if len({p.eps for p in self.points}) > 1:
-            raise ValueError("point set mixes tolerances eps")
-        seen = set()
-        for i, p in enumerate(self.points):
-            key = (p.x, p.y)
-            if key in seen:
-                raise ValueError(f"point {i} duplicates an earlier point {key}")
-            seen.add(key)
+        if xs.dtype != ys.dtype or xs.dtype not in (np.int64, np.float64):
+            got = f"{xs.dtype} and {ys.dtype}"
+            raise CoordinateKindError(f"coordinates must be int64 or float64: {got}")
+        ok, problem = _in_range(xs, ys, eps, xs.dtype == np.int64)
+        if not ok.all():
+            i = int(ok.argmin())
+            raise ValueError(f"point {i}: {problem} {(xs[i].item(), ys[i].item())}")
+        # a stable sort keeps equal points (-0.0 equals 0.0) in index order
+        order = np.lexsort((xs, ys))
+        sx, sy = xs[order], ys[order]
+        if (dup := (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
+            i = int(order[1:][dup].min())
+            key = (xs[i].item(), ys[i].item())
+            raise ValueError(f"point {i} duplicates an earlier point {key}")
+        xs.flags.writeable = ys.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "eps", eps)
 
     @classmethod
     def of(cls, coords: Sequence[tuple], eps: float = 0.0) -> "PointSet":
-        return cls(tuple(Point(x, y, eps) for x, y in coords))
+        """Points from (x, y) pairs of Python ints, or of Python floats."""
+        coords = list(coords)
+        xy = pair_array(coords, _dtype(chain.from_iterable(coords)), "point")
+        return cls(xy[:, 0], xy[:, 1], eps)
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        xy = zip(self.xs.tolist(), self.ys.tolist())
+        return tuple(Point(x, y, self.eps) for x, y in xy)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     def __getitem__(self, i: int) -> Point:
         return self.points[i]
@@ -114,29 +150,33 @@ class PointSet:
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, PointSet)
+            and (self.eps, self.xs.dtype) == (other.eps, other.xs.dtype)
+            and np.array_equal(self.xs, other.xs)
+            and np.array_equal(self.ys, other.ys)
+        )
+
     @property
     def is_exact(self) -> bool:
-        return self.points[0].is_exact
-
-    @property
-    def eps(self) -> float:
-        return self.points[0].eps
-
-    def xs(self) -> list:
-        return [p.x for p in self.points]
-
-    def ys(self) -> list:
-        return [p.y for p in self.points]
+        return self.xs.dtype == np.int64
 
 
-def coord_arrays(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate arrays on which ``outside_disk`` decides as on the points.
-
-    int64 for integer points (exact by the ``MAX_EXACT_COORD`` bound on
-    distinct points), float64 for real points.
-    """
-    dtype = np.int64 if ps.is_exact else np.float64
-    return np.array(ps.xs(), dtype=dtype), np.array(ps.ys(), dtype=dtype)
+def pair_array(items, dtype, name: str) -> np.ndarray:
+    """Pairs as an (m, 2) ``dtype`` array; a value that does not fit names its pair."""
+    try:
+        arr = np.array(items, dtype=dtype)
+    except OverflowError:
+        for k, item in enumerate(items):
+            try:
+                np.array(item, dtype=dtype)
+            except OverflowError as exc:
+                raise ValueError(f"{name} {k}: {tuple(item)} out of range") from exc
+        raise
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise ValueError(f"each {name} must be a pair, got shape {arr.shape}")
+    return arr.reshape(-1, 2)
 
 
 def outside_disk(ax, ay, bx, by, eps: float = 0.0):
@@ -288,9 +328,8 @@ def _classify_monotonic(ps: PointSet) -> ConvexClass | None:
     non-increasing is upper-right, and reflections permute the kinds
     accordingly (x-axis swaps upper/lower, y-axis swaps right/left).
     """
-    xs, ys = ps.xs(), ps.ys()
-    x_nondec, x_inc, x_noninc, x_dec = _monotone_flags(xs)
-    y_nondec, y_inc, y_noninc, y_dec = _monotone_flags(ys)
+    x_nondec, x_inc, x_noninc, x_dec = _monotone_flags(ps.xs.tolist())
+    y_nondec, y_inc, y_noninc, y_dec = _monotone_flags(ps.ys.tolist())
     table = [
         (x_nondec and y_noninc, x_inc and y_dec, ConvexKind.UPPER_RIGHT_MONOTONIC),
         (x_noninc and y_noninc, x_dec and y_dec, ConvexKind.UPPER_LEFT_MONOTONIC),

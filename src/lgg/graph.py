@@ -1,26 +1,30 @@
 """Geometric graphs, the locally-Gabriel verifier, and a random generator.
 
-A graph is valid (locally Gabriel) when no edge's closed diametral disk
-contains a neighbor of either endpoint.  ``verify`` checks the equivalent
-per-vertex formulation (every pair of edges at a shared vertex is
-conflict-free) in one vectorised pass; ``verify_direct`` checks the
-per-edge disk definition literally with the scalar predicates.  The two
-must agree on every input and tests hold them to that.
+A ``Graph`` stores its edges as one canonical int64 array with a CSR
+adjacency; the tuple views ``edges`` and ``adjacency`` are built only when
+asked for.  A graph is valid (locally Gabriel) when no edge's closed
+diametral disk contains a neighbor of either endpoint.  ``verify`` checks
+the equivalent per-vertex formulation (every pair of edges at a shared
+vertex is conflict-free) in one vectorised pass on the CSR arrays;
+``verify_direct`` checks the per-edge disk definition literally with the
+scalar predicates.  The two must agree on every input and tests hold them
+to that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (
+    Point,
     PointSet,
     conflict_kind,
-    coord_arrays,
     in_closed_disk,
     outside_disk,
+    pair_array,
 )
 
 
@@ -32,45 +36,72 @@ class InvariantViolation(RuntimeError):
     """A graph broke a consequence of LGG validity; it is not a valid LGG."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """A point set with an undirected edge list over point indices.
 
-    Edges are canonicalized to ``i < j`` and sorted lexicographically, so
-    equal graphs compare equal and serialized output is byte-stable.
+    ``edge_array`` holds the edges as a read-only (m, 2) int64 array,
+    canonicalized to ``i < j`` and sorted lexicographically, so equal
+    graphs compare equal and serialized output is byte-stable.  The
+    neighbors of ``u`` are ``indices[indptr[u]:indptr[u + 1]]``, ascending
+    (CSR).  ``edges`` and ``adjacency`` give the same data as tuples of
+    Python ints, built on first use.
     """
 
-    points: PointSet
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.points)
-        canon = []
-        for k, e in enumerate(self.edges):
-            i, j = e
-            if i == j:
+    def __init__(self, points: PointSet, edges) -> None:
+        n = len(points)
+        try:
+            given = pair_array(edges, np.int64, "edge")
+        except ValueError as exc:
+            raise GraphError(str(exc)) from exc
+        lo, hi = given.min(axis=1), given.max(axis=1)
+        loop = lo == hi
+        if (bad := loop | (lo < 0) | (hi >= n)).any():
+            k = int(bad.argmax())
+            i, j = given[k].tolist()
+            if loop[k]:
                 raise GraphError(f"edge {k}: self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"edge {k}: {e} out of range for {n} points")
-            canon.append((i, j) if i < j else (j, i))
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise GraphError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(canon))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in canon:
-            adj[i].append(j)
-            adj[j].append(i)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+            raise GraphError(f"edge {k}: {(i, j)} out of range for {n} points")
+        keys = np.sort(lo * n + hi)
+        if (dup := keys[1:] == keys[:-1]).any():
+            raise GraphError(f"duplicate edge {divmod(int(keys[1:][dup][0]), n)}")
+        lo, hi = np.divmod(keys, n)
+        # every edge from both ends, sorted by (vertex, neighbor)
+        src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        indices = dst[np.argsort(src * n + dst)]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        edge_array = np.column_stack((lo, hi))
+        for a in (edge_array, indptr, indices):
+            a.flags.writeable = False
+        vars(self).update(
+            points=points, edge_array=edge_array, indptr=indptr, indices=indices
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
 
     @property
     def n(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        nbrs, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
+
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Graph)
+            and self.points == other.points
+            and np.array_equal(self.edge_array, other.edge_array)
+        )
 
 
 @dataclass(frozen=True)
@@ -103,10 +134,8 @@ def verify(g: Graph) -> ConflictReport:
     by degree d, their neighbor pairs come from ``triu_indices(d, 1)``, and
     both disk tests run on bounded chunks of those pairs.
     """
-    xs, ys = coord_arrays(g.points)
-    eps = g.points.eps
-    adj = g.adjacency
-    deg = np.fromiter(map(len, adj), dtype=np.intp, count=g.n)
+    xs, ys, eps = g.points.xs, g.points.ys, g.points.eps
+    deg = np.diff(g.indptr)
     found: list[tuple[int, int, int]] = []
     for d in np.unique(deg[deg >= 2]).tolist():
         ia, ib = np.triu_indices(d, 1)
@@ -114,8 +143,7 @@ def verify(g: Graph) -> ConflictReport:
         step = max(1, _VERIFY_CHUNK // len(ia))
         for lo in range(0, len(verts), step):
             rows = verts[lo : lo + step]
-            flat = chain.from_iterable(map(adj.__getitem__, rows.tolist()))
-            nbrs = np.fromiter(flat, np.intp, len(rows) * d).reshape(-1, d)
+            nbrs = g.indices[g.indptr[rows, None] + np.arange(d)]
             u = np.repeat(rows, len(ia))
             v, w = nbrs[:, ia].ravel(), nbrs[:, ib].ravel()
             xu, yu, xv, yv, xw, yw = xs[u], ys[u], xs[v], ys[v], xs[w], ys[w]
@@ -129,7 +157,7 @@ def verify(g: Graph) -> ConflictReport:
 
 def checked(points: PointSet, edges) -> Graph:
     """``Graph(points, edges)``; raises ``InvariantViolation`` unless it verifies."""
-    graph = Graph(points, tuple(edges))
+    graph = Graph(points, edges)
     if bad := verify(graph).violations:
         v = bad[0]
         raise InvariantViolation(
@@ -141,9 +169,13 @@ def checked(points: PointSet, edges) -> Graph:
 
 def _report(pts: PointSet, triples) -> ConflictReport:
     """Sorted violations of the conflicting triples (u, v, w), v < w."""
+
+    def p(i: int) -> Point:  # one point, without building all of ``pts``
+        return Point(pts.xs[i].item(), pts.ys[i].item(), pts.eps)
+
     return ConflictReport(
         tuple(
-            Violation(u, v, w, conflict_kind(pts[u], pts[v], pts[w]))
+            Violation(u, v, w, conflict_kind(p(u), p(v), p(w)))
             for u, v, w in sorted(triples)
         )
     )
@@ -262,5 +294,4 @@ def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:
     cand_i, cand_j = np.triu_indices(n, 1)
     us = cand_i[order]
     vs = cand_j[order]
-    xs, ys = coord_arrays(ps)
-    return Graph(ps, tuple(_insert(xs, ys, ps.eps, us, vs)))
+    return Graph(ps, _insert(ps.xs, ps.ys, ps.eps, us, vs))

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Point, PointSet, outside_disk
+from .geometry import PointSet, outside_disk
 from .graph import Graph, checked
 
 
@@ -176,18 +176,15 @@ def build(params: GridParams) -> tuple[Graph, GridBuildStats]:
     Raises ``InvariantViolation`` if the verifier finds a conflict.
     """
     g = params.g
-    points = PointSet(tuple(Point(x, y) for x in range(g) for y in range(g)))
-    lo, hi = g // 3, (2 * g) // 3
-    # index steps d > 0, so (a, a + d) and (a - d, a) are already canonical
-    steps = [x * g + y for x, y in neighbors_q1(params)]
-    edges: set[tuple[int, int]] = set()
-    for x in range(lo, hi):
-        for y in range(lo, hi):
-            a = x * g + y
-            for d in steps:
-                edges.add((a, a + d))
-                edges.add((a - d, a))
-
-    graph = checked(points, sorted(edges))
-    return graph, GridBuildStats(len(steps), len(graph.edges))
+    n = g * g
+    points = PointSet(*np.divmod(np.arange(n, dtype=np.int64), g))
+    side = np.arange(g // 3, (2 * g) // 3)
+    centres = (side[:, None] * g + side).reshape(-1, 1)
+    # index steps d > 0, so (c, c + d) and (c - d, c) are already canonical;
+    # as keys i * n + j they sort lexicographically
+    steps = np.array([x * g + y for x, y in neighbors_q1(params)])
+    ahead, behind = centres * n + centres + steps, (centres - steps) * n + centres
+    keys = np.unique(np.concatenate((ahead, behind), axis=None))
+    graph = checked(points, np.column_stack(np.divmod(keys, n)))
+    return graph, GridBuildStats(len(steps), len(graph.edge_array))
 

@@ -16,6 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .geometry import PointSet
 from .graph import Graph, InvariantViolation
 
@@ -74,11 +76,11 @@ def longest_monotone_subsequence(ps: PointSet) -> MonotoneSeq:
     non-decreasing and longest non-increasing ordinate subsequences wins
     (non-decreasing on ties).  O(n log n).
     """
-    n = len(ps)
-    up_order = sorted(range(n), key=lambda i: (ps[i].x, ps[i].y))
-    down_order = sorted(range(n), key=lambda i: (ps[i].x, -ps[i].y))
-    up = _longest_weak_nondec([ps[i].y for i in up_order])
-    down = _longest_weak_nondec([-ps[i].y for i in down_order])
+    xs, ys = ps.xs, ps.ys
+    up_order = np.lexsort((ys, xs)).tolist()
+    down_order = np.lexsort((-ys, xs)).tolist()
+    up = _longest_weak_nondec(ys[up_order].tolist())
+    down = _longest_weak_nondec((-ys)[down_order].tolist())
     if len(up) >= len(down):
         return MonotoneSeq(
             tuple(up_order[k] for k in up), Direction.NON_DECREASING

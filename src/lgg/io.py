@@ -9,8 +9,13 @@ Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 (generator name, parameters, seed, epsilon).  Output is byte-stable:
 canonical edge order, sorted keys, shortest round-trip numbers.
 
-Every malformed input raises ``FormatError`` naming the file and the line,
-point or edge at fault.
+The JSON reader checks each value's JSON type (coordinates are numbers,
+endpoints integers, never booleans), builds the coordinate and edge arrays
+once and leaves range and duplicate checks to ``PointSet`` and ``Graph``;
+the writer reads those arrays back with ``tolist``.  The CSV reader checks
+each row as a ``Point`` so that a bad value names its line.  Every
+malformed input raises ``FormatError`` naming the file and the line, point
+or edge at fault.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import json
 import math
 import sys
 
-from .geometry import DEFAULT_EPSILON, Point, PointSet
+import numpy as np
+
+from .geometry import DEFAULT_EPSILON, Point, PointSet, pair_array
 from .graph import Graph
 
 
@@ -37,28 +44,22 @@ def _items(items, make, name):
         raise FormatError(f"{name(k)}: {exc}") from exc
 
 
-def _point(real: bool, eps: float):
-    if real:
-        return lambda x, y: Point(float(x), float(y), eps)
-    return lambda x, y: Point(int(x), int(y))
-
-
-def _json_only(types, make):
-    """``make(a, b)`` for JSON values whose type is in ``types``; never ``bool``."""
+def _json_only(*types):
+    """``(a, b)`` for JSON values whose type is in ``types``; never ``bool``."""
+    names = " or ".join(t.__name__ for t in types)
 
     def checked(a, b):
         if type(a) not in types or type(b) not in types:
-            names = " or ".join(t.__name__ for t in types)
             raise TypeError(f"expected {names}, got [{a!r}, {b!r}]")
-        return make(a, b)
+        return a, b
 
     return checked
 
 
-def _build(cls, *args):
-    """``cls(*args)``; a point set or graph it rejects is a FormatError."""
+def _build(make, *args):
+    """``make(*args)``; a point set or graph it rejects is a FormatError."""
     try:
-        return cls(*args)
+        return make(*args)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -89,9 +90,13 @@ def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
     if not rows:
         raise FormatError("no points in file")
     real = any("." in t or "e" in t.lower() for _, x, y in rows for t in (x, y))
-    make = _point(real, epsilon)
-    pts = _items(((x, y) for _, x, y in rows), make, lambda k: f"line {rows[k][0]}")
-    return _build(PointSet, tuple(pts))
+    num, eps = (float, epsilon) if real else (int, 0.0)
+    pts = _items(
+        ((x, y) for _, x, y in rows),
+        lambda x, y: Point(num(x), num(y), eps),  # a bad value names its line
+        lambda k: f"line {rows[k][0]}",
+    )
+    return _build(PointSet.of, [(p.x, p.y) for p in pts], eps)
 
 
 def load_points(path: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
@@ -99,11 +104,11 @@ def load_points(path: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
 
 
 def graph_to_json(g: Graph, meta: dict | None = None) -> str:
-    eps = 0.0 if g.points.is_exact else g.points.eps
+    ps = g.points
     obj = {
-        "points": [[p.x, p.y] for p in g.points],
-        "edges": [list(e) for e in g.edges],
-        "meta": {"epsilon": eps, **(meta or {})},
+        "points": np.column_stack((ps.xs, ps.ys)).tolist(),
+        "edges": g.edge_array.tolist(),
+        "meta": {"epsilon": ps.eps, **(meta or {})},
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -119,13 +124,13 @@ def graph_from_json(text: str) -> Graph:
             )
         eps = float(eps)
         real = any(isinstance(c, float) for xy in raw_pts for c in xy)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
-    make_point = _json_only((int, float), _point(real, eps))
-    ps = _build(PointSet, tuple(_items(raw_pts, make_point, "point {}".format)))
-    make_edge = _json_only((int,), lambda i, j: (i, j))
-    edges = _items(raw_edges, make_edge, "edge {}".format)
-    return _build(Graph, ps, tuple(edges))
+    pts = list(_items(raw_pts, _json_only(int, float), "point {}".format))
+    xy = _build(pair_array, pts, np.float64 if real else np.int64, "point")
+    ps = _build(PointSet, xy[:, 0], xy[:, 1], eps if real else 0.0)
+    edges = list(_items(raw_edges, _json_only(int), "edge {}".format))
+    return _build(Graph, ps, edges)
 
 
 def save_graph(g: Graph, path: str, meta: dict | None = None) -> None:
@@ -143,8 +148,8 @@ def graph_to_svg(
     disk_edge: tuple[int, int] | None = None,
 ) -> str:
     """Static SVG of the graph, optionally with one edge's diametral disk."""
-    xs = [float(p.x) for p in g.points]
-    ys = [float(p.y) for p in g.points]
+    xs = g.points.xs.astype(np.float64).tolist()
+    ys = g.points.ys.astype(np.float64).tolist()
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0) or 1.0
@@ -165,25 +170,20 @@ def graph_to_svg(
     ]
     if disk_edge is not None:
         i, j = disk_edge
-        pi, pj = g.points[i], g.points[j]
-        cx, cy = (float(pi.x) + float(pj.x)) / 2, (float(pi.y) + float(pj.y)) / 2
-        r = math.dist((pi.x, pi.y), (pj.x, pj.y)) / 2
+        cx, cy = (xs[i] + xs[j]) / 2, (ys[i] + ys[j]) / 2
+        r = math.dist((xs[i], ys[i]), (xs[j], ys[j])) / 2
         out.append(
             f'<circle cx="{sx(cx)}" cy="{sy(cy)}" r="{round(r * scale, 3)}" '
             'fill="#d33" fill-opacity="0.15" stroke="#d33"/>'
         )
-    for i, j in g.edges:
-        pi, pj = g.points[i], g.points[j]
+    for i, j in g.edge_array.tolist():
         out.append(
-            f'<line x1="{sx(float(pi.x))}" y1="{sy(float(pi.y))}" '
-            f'x2="{sx(float(pj.x))}" y2="{sy(float(pj.y))}" '
+            f'<line x1="{sx(xs[i])}" y1="{sy(ys[i])}" '
+            f'x2="{sx(xs[j])}" y2="{sy(ys[j])}" '
             'stroke="#356" stroke-width="1"/>'
         )
     rad = max(1.5, round(0.004 * width, 1))
-    for p in g.points:
-        out.append(
-            f'<circle cx="{sx(float(p.x))}" cy="{sy(float(p.y))}" r="{rad}" '
-            'fill="#222"/>'
-        )
+    for x, y in zip(xs, ys):
+        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{rad}" fill="#222"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

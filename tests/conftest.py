@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 
-from lgg.geometry import Point, PointSet
+from lgg.geometry import PointSet
 
 
 def random_int_points(rng: random.Random, n: int, lim: int) -> PointSet:
@@ -74,4 +74,4 @@ def real_points(rng: random.Random, n: int, eps: float = 1e-9) -> PointSet:
     pts: set[tuple[float, float]] = set()
     while len(pts) < n:
         pts.add((rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)))
-    return PointSet(tuple(Point(x, y, eps) for x, y in sorted(pts)))
+    return PointSet.of(sorted(pts), eps)

@@ -179,7 +179,8 @@ def test_criterion_4_constructions_achieve_bounds():
 
 def _assert_margin(graph):
     """Real-mode constructions stay valid with a 10x larger tolerance."""
-    pts = PointSet(tuple(Point(p.x, p.y, p.eps * 10.0) for p in graph.points))
+    ps = graph.points
+    pts = PointSet(ps.xs, ps.ys, ps.eps * 10.0)
     assert verify(Graph(pts, graph.edges)).valid
 
 

@@ -24,6 +24,8 @@ def run(args):
 #: ``content`` of a malformed-input case whose path is a directory
 DIRECTORY = object()
 
+MONOTONE_CSV = "0,5\n1,3\n3,2\n6,1\n10,0\n"
+
 
 class TestFitExponent:
     def test_exact_power_law(self):
@@ -229,10 +231,33 @@ class TestUsage:
              ' "meta": {"epsilon": NaN}}', ["verify"]),
             ("negative-epsilon-real", '{"points": [[0.5, 0], [1, 1]], "edges": [],'
              ' "meta": {"epsilon": -1}}', ["verify"]),
+            *(pytest.param(*case, id=case[0]) for case in [
+                ("huge-edge-index", '{"points": [[0, 0], [1, 1]], "edges": [[0, 1'
+                 + "0" * 30 + ']]}', ["verify"]),
+                ("huge-int-point", '{"points": [[0, 0], [1' + "0" * 30 + ', 1]],'
+                 ' "edges": []}', ["verify"]),
+                ("negative-zero-duplicate", '{"points": [[0.0, 0.0], [0.0, -0.0]],'
+                 ' "edges": []}', ["verify"]),
+                ("deep-json", '{"points": ' + "[" * 100_000 + "]" * 100_000
+                 + ', "edges": []}', ["verify"]),
+                ("epsilon-negative", MONOTONE_CSV,
+                 ["extremal", "--epsilon", "-1", "--points"]),
+                ("epsilon-nan", MONOTONE_CSV,
+                 ["construct", "path", "--epsilon", "nan", "--points"]),
+                ("epsilon-inf-real", "0.0,5\n1,3\n3,2\n",
+                 ["construct", "path", "--epsilon", "inf", "--points"]),
+                ("epsilon-negative-real", "0.0,5\n1,3\n3,2\n",
+                 ["extremal", "--epsilon", "-1", "--points"]),
+                ("width-negative", '{"points": [[0, 0], [4, 0]], "edges": [[0, 1]]}',
+                 ["emit-svg", "--width", "-5"]),
+                ("width-zero", '{"points": [[0, 0], [4, 0]], "edges": [[0, 1]]}',
+                 ["emit-svg", "--width", "0"]),
+            ]),
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, content, args):
-        # the message names the input at fault: the file, or the flag
+        # the message names the input at fault: the flag, or else the file
+        # and, where given in NAMED, the point or edge
         if content is None:
             culprit = args[-2]
         else:
@@ -244,13 +269,21 @@ class TestUsage:
             else:
                 path.write_text(content)
             args = args + [str(path)]
-            culprit = "--disk" if "--disk" in args else str(path)
+            flags = [a for a in args if a in ("--disk", "--epsilon", "--width")]
+            culprit = flags[0] if flags else str(path)
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and culprit in err
+        assert NAMED.get(name, "") in err
 
 
-MONOTONE_CSV = "0,5\n1,3\n3,2\n6,1\n10,0\n"
+#: the point or edge that the error of a ``test_malformed_input_exits_2`` case names
+NAMED = {
+    "huge-edge-index": "edge 0",
+    "huge-int-point": "point 1",
+    "negative-zero-duplicate": "point 1",
+}
+
 
 #: patches ``lgg.graph.verify`` to report one conflict on every graph
 FAIL_VERIFY = (

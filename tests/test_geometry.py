@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,21 +63,88 @@ class TestPoint:
 
 class TestPointSet:
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"point 2 duplicates .* \(0, 0\)"):
             PointSet.of([(0, 0), (1, 1), (0, 0)])
+        with pytest.raises(ValueError, match=r"point 3 duplicates"):
+            PointSet.of([(5, 5), (1, 1), (2, 2), (1, 1), (5, 5)])
+
+    def test_duplicates_match_loop_reference(self):
+        # the first point equal to an earlier one, as a set lookup finds it
+        rng = random.Random(3)
+        for _ in range(300):
+            vals = [0.0, -0.0, 1.0, 2.5] if rng.random() < 0.5 else [0, 1, 2, -1]
+            coords = [(rng.choice(vals), rng.choice(vals))
+                      for _ in range(rng.randrange(1, 8))]
+            seen, first = set(), None
+            for i, c in enumerate(coords):
+                if c in seen and first is None:
+                    first = i
+                seen.add(c)
+            if first is None:
+                assert len(PointSet.of(coords)) == len(coords)
+            else:
+                with pytest.raises(ValueError, match=f"point {first} duplicates"):
+                    PointSet.of(coords)
+
+    def test_negative_zero_duplicates_zero(self):
+        with pytest.raises(ValueError, match=r"point 2 duplicates .* \(-0.0, 0.0\)"):
+            PointSet.of([(0.0, 0.0), (1.0, 0.0), (-0.0, 0.0)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            PointSet(())
+        with pytest.raises(ValueError, match="nonempty"):
+            PointSet.of([])
+        with pytest.raises(ValueError, match="nonempty"):
+            PointSet(np.array([], np.int64), np.array([], np.int64))
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(CoordinateKindError):
-            PointSet((Point(0, 0), Point(1.0, 1.0, 1e-9)))
+            PointSet.of([(0, 0), (1.0, 1.0)])
+        with pytest.raises(CoordinateKindError):
+            PointSet(np.array([0, 1]), np.array([0.0, 1.0]))
 
-    def test_mixed_eps_rejected(self):
-        with pytest.raises(ValueError, match="eps"):
-            PointSet((Point(0.0, 0.0, 1e-9), Point(1.0, 1.0, 1e-6)))
+    @pytest.mark.parametrize("dtype", [bool, object, np.int32, np.float32])
+    def test_wrong_dtype_rejected(self, dtype):
+        with pytest.raises(CoordinateKindError):
+            PointSet(np.array([0, 1], dtype), np.array([1, 0], dtype))
+
+    def test_bool_values_rejected(self):
+        with pytest.raises(CoordinateKindError):
+            PointSet.of([(True, False), (2, 3)])
+
+    def test_magnitude_bound(self):
+        lim = MAX_EXACT_COORD
+        ps = PointSet.of([(lim, -lim), (-lim, lim), (0, 0)])
+        assert ps.xs.tolist() == [lim, -lim, 0]
+        for x, y in ((lim + 1, 0), (0, -lim - 1), (10**30, 0)):
+            with pytest.raises(ValueError, match="point 1: "):
+                PointSet.of([(0, 0), (x, y)])
+
+    def test_non_finite_named(self):
+        with pytest.raises(ValueError, match="point 1: non-finite"):
+            PointSet.of([(0.0, 0.0), (math.nan, 1.0)])
+
+    def test_eps_rules(self):
         assert PointSet.of([(0.0, 0.0), (1.0, 1.0)], 1e-6).eps == 1e-6
+        with pytest.raises(ValueError, match="eps"):
+            PointSet.of([(0, 0), (1, 1)], 1e-9)
+        for eps in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                PointSet.of([(0.0, 0.0), (1.0, 1.0)], eps)
+
+    def test_arrays_are_read_only_copies(self):
+        xs, ys = np.array([0, 1]), np.array([1, 0])
+        ps = PointSet(xs, ys)
+        xs[0] = 7
+        assert ps.xs.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            ps.xs[0] = 7
+
+    def test_points_view(self):
+        ps = PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
+        assert ps[1] == Point(2.0, 3.0, 1e-9)
+        assert list(ps) == [Point(0.5, 1.5, 1e-9), ps[1]]
+        assert ps == PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
+        assert ps != PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-6)
 
 
 class TestDiskSide:
@@ -165,7 +233,7 @@ class TestConflict:
     )
     @settings(max_examples=300)
     def test_translation_invariance(self, px, py, qx, qy, dx, dy):
-        q = (qx + 1001, qy)  # keep q distinct from p and r
+        q = (qx + 2001, qy)  # keep q distinct from p and r
         r = (px + 2003, py + 2003)
         before = edges_conflict(P(px, py), P(*q), P(*r))
         after = edges_conflict(

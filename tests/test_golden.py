@@ -1,0 +1,72 @@
+"""Golden digests: library and CLI outputs, byte for byte.
+
+Each literal is the sha256 of an output as the library wrote it when the
+literal was recorded.  A refactor must leave every one of them unchanged;
+a deliberate change of output updates the literal in the same commit.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from conftest import random_int_points, real_points
+from lgg.cli import main
+from lgg.extremal import max_lgg
+from lgg.geometry import PointSet
+from lgg.graph import random_maximal_lgg
+from lgg.io import graph_to_json
+
+
+def sha256(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["grid", "--side", "30"],
+         "7ce2fca5d600061b337b8f1a7aa7fdd50ad104f347935ddaf9d8f91f89cecad0"),
+        (["grid", "--side", "30", "--mode", "analysis"],
+         "6e1e806b1a81310a3c832357f200aec75d7f45e2936dca8cf2ae48797f61da56"),
+        (["fan", "--n", "12"],
+         "72111d76ebb1e232a05fa623f82436a4afc4309a477b319ee5eb3e2a86bba4c5"),
+        (["cycle", "--n", "9"],
+         "02132900d04e6e7fc2b1941068db74a65ee734c873d7886ba1fbab5bbc687cb1"),
+        (["ladder", "--n", "16"],
+         "7ff61aac86518b58f4150f6f66762a9f11b43869b46e2e9aefd3493c9a05e075"),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+)
+def test_construct_graph_json(tmp_path, args, digest):
+    out = tmp_path / "graph.json"
+    assert main(["construct", *args, "-o", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
+
+
+def test_random_maximal_lgg_integer():
+    ps = random_int_points(random.Random(1), 60, 10**6)
+    g = random_maximal_lgg(ps, 5)
+    assert sha256(graph_to_json(g)) == (
+        "2e76bc55c6cda2d7d622d028d8e3ae73cc9856c27c6b87c0b3aacde887480c22"
+    )
+
+
+def test_random_maximal_lgg_real():
+    ps = real_points(random.Random(2), 40)
+    g = random_maximal_lgg(ps, 3)
+    assert sha256(graph_to_json(g)) == (
+        "a0b95828bad2dd07fbefcf296cca7eeabaaca068b0758093baab959e147758c3"
+    )
+
+
+def test_max_lgg_witness():
+    lattice = [(x, y) for x in range(6) for y in range(6)]
+    ps = PointSet.of(sorted(random.Random(3).sample(lattice, 10)))
+    result = max_lgg(ps)
+    assert (result.max_edges, result.nodes_explored) == (12, 841)
+    assert sha256(graph_to_json(result.witness)) == (
+        "332e38cde5782feed4b8f9bda3cb198cd1d8eec7bbe5e8a174f22a534f8ec452"
+    )

@@ -43,6 +43,57 @@ class TestGraph:
             Graph(ps, ((0, 2),))
         with pytest.raises(GraphError):
             Graph(ps, ((0, 1), (1, 0)))
+        with pytest.raises(GraphError):
+            Graph(ps, ((0, 1), (1, 2, 3)))
+        with pytest.raises(GraphError, match="pair"):
+            Graph(ps, ((0, 1, 2), (1, 2, 3)))
+        with pytest.raises(GraphError, match="edge 1: .* out of range"):
+            Graph(ps, ((0, 1), (1, 10**30)))
+
+    def test_array_input_and_views(self):
+        ps = PointSet.of([(0, 0), (10, 0), (0, 10)])
+        g = Graph(ps, np.array([[2, 1], [0, 2]]))
+        assert g.edge_array.dtype == np.int64
+        assert g.edge_array.tolist() == [[0, 2], [1, 2]]
+        assert g.indptr.tolist() == [0, 1, 2, 4] and g.indices.tolist() == [2, 2, 0, 1]
+        assert g == Graph(ps, [(1, 2), (2, 0)]) and g != Graph(ps, [(1, 2)])
+        assert Graph(ps, ()).edge_array.shape == (0, 2)
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 1
+        with pytest.raises(AttributeError):
+            g.points = ps
+
+    def test_matches_loop_reference(self):
+        # a per-edge reference loop: canonical sorted edges and sorted
+        # adjacency, or the first bad edge k
+        rng = random.Random(101)
+        for _ in range(300):
+            n = rng.randrange(1, 12)
+            ps = random_int_points(rng, n, 100)
+            edges = [(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1))
+                     for _ in range(rng.randrange(0, 20))]
+            if rng.random() < 0.5:
+                edges = [(i, j) for i, j in edges if i != j and 0 <= min(i, j)
+                         and max(i, j) < n]
+                edges = list({(min(e), max(e)): e for e in edges}.values())
+            bad = [k for k, (i, j) in enumerate(edges)
+                   if i == j or not (0 <= i < n and 0 <= j < n)]
+            canon = sorted((min(e), max(e)) for e in edges)
+            if bad:
+                with pytest.raises(GraphError, match=f"edge {bad[0]}: "):
+                    Graph(ps, edges)
+            elif len(set(canon)) < len(canon):
+                with pytest.raises(GraphError, match="duplicate edge"):
+                    Graph(ps, edges)
+            else:
+                g = Graph(ps, edges)
+                assert g.edges == tuple(canon)
+                assert g.adjacency == tuple(
+                    tuple(sorted([j for i, j in canon if i == u]
+                                 + [i for i, j in canon if j == u]))
+                    for u in range(n)
+                )
+                assert [g.degree(u) for u in range(n)] == list(map(len, g.adjacency))
 
 
 class TestVerify:
@@ -191,7 +242,6 @@ class TestRandomMaximal:
 
     def test_kernel_matches_oracle_on_wide_and_degenerate_sets(self):
         from conftest import real_points
-        from lgg.geometry import coord_arrays
 
         rng = random.Random(7)
         ps = random_int_points(rng, 80, 10**6)
@@ -205,7 +255,7 @@ class TestRandomMaximal:
             while len(corners) < 24:
                 corners.add((rng.randint(-lim, hi), rng.randint(-lim, hi)))
             ps = PointSet.of(sorted(corners))
-            assert coord_arrays(ps)[0].dtype == np.int64
+            assert ps.xs.dtype == ps.ys.dtype == np.int64
             for seed in range(3):
                 assert random_maximal_lgg(ps, seed).edges == _oracle_maximal(ps, seed)
 

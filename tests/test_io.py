@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_int_points
-from lgg.geometry import Point, PointSet
+from lgg.geometry import PointSet
 from lgg.graph import Graph, random_maximal_lgg
 from lgg.io import (
     FormatError,
@@ -51,7 +51,7 @@ class TestGraphJson:
         assert back == g
 
     def test_round_trip_real(self):
-        ps = PointSet((Point(0.5, 1.5, 1e-9), Point(2.0, 3.0, 1e-9)))
+        ps = PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
         g = Graph(ps, ((0, 1),))
         back = graph_from_json(graph_to_json(g))
         assert [(p.x, p.y, p.eps) for p in back.points] == [

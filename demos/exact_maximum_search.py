@@ -3,8 +3,13 @@ Exact maximum locally Gabriel graphs on small point sets
 ========================================================
 
 Valid edge sets are exactly the independent sets of the conflict graph
-over all point pairs, so branch and bound with a clique-cover bound finds
-the true maximum. Small cases confirm the convex-position bounds.
+over all point pairs, so branch and bound finds the true maximum. It
+prunes with two bounds: a greedy partition of the open candidates into
+cliques (one edge per clique at most), and, per point, a clique cover of
+the open candidates at that point, summed and halved since every edge has
+two endpoints. A fixing pass in candidate order then picks the
+lexicographically least maximum edge set as the witness. Small cases
+confirm the convex-position bounds.
 """
 
 import random

@@ -3,8 +3,24 @@
 Candidate edges are all C(n, 2) point pairs; two candidates are adjacent
 in the conflict graph when they share an endpoint and conflict.  Valid
 edge sets are exactly the independent sets of this graph, so the maximum
-LGG is a maximum independent set, found here by branch and bound with a
-greedy clique-cover upper bound.  Adjacency is kept in bitsets.
+LGG is a maximum independent set.  Adjacency is kept in bitsets.
+
+It is found by a coloured branch and bound over the candidates renumbered
+by ascending conflict degree, with two bounds:
+
+* colour bound (per vertex): the available candidates are greedily
+  partitioned into cliques, and the search branches on them from the last
+  clique back; a vertex in clique ``c`` is pruned when ``c`` cliques cannot
+  hold the candidates still needed;
+* star-degree bound (per node): candidates conflict only at a shared point,
+  so at point ``s`` a set holds at most ``cover_s`` of the candidates at
+  ``s`` (a greedy clique cover), and as each candidate has two endpoints a
+  node is pruned when ``floor(sum_s cover_s / 2)`` is below the need.
+
+Decision searches for one more edge than the best set so far give the
+maximum.  A fixing pass then walks the candidates in index order and takes
+each one that some maximum set extending the taken ones contains, so the
+witness is the lexicographically least maximum set.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from itertools import combinations
 from .geometry import PointSet, edges_conflict
 from .graph import Graph, candidate_edges, checked
 
-MAX_POINTS = 14
+MAX_POINTS = 16
 
 
 class SizeError(ValueError):
@@ -62,53 +78,97 @@ def build_conflict_graph(ps: PointSet) -> ConflictGraph:
     return ConflictGraph(ps, tuple(cands), tuple(adj))
 
 
-def _clique_cover_bound(cg: ConflictGraph, avail: int) -> int:
-    """Number of cliques in a greedy cover of ``avail``; bounds the MIS size."""
-    adj = cg.adjacency
-    bound = 0
-    rest = avail
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        clique = 1 << v
-        common = rest & adj[v]
+def _cliques(adj, avail: int) -> list[int]:
+    """Greedy partition of ``avail`` into cliques, as bitsets.
+
+    Each clique starts at the lowest remaining vertex and grows by the lowest
+    common neighbour.  An independent set holds at most one vertex per clique.
+    """
+    cliques = []
+    while avail:
+        clique, common = 0, avail
         while common:
-            u = (common & -common).bit_length() - 1
-            clique |= 1 << u
-            common &= adj[u]
-        rest &= ~clique
-        bound += 1
-    return bound
+            low = common & -common
+            clique |= low
+            common &= adj[low.bit_length() - 1]
+        avail ^= clique
+        cliques.append(clique)
+    return cliques
 
 
 def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
     """Lexicographically least maximum independent set of candidates.
 
-    Depth-first search branches on the lowest remaining candidate index,
-    include before exclude, keeping the first set of each new best size;
-    that makes the witness the lexicographically least maximum set.
+    Returns the set as ascending candidate indices, and the number of
+    nodes of all the searches (see the module docstring).
     """
-    adj = cg.adjacency
-    best: list[int] = []
-    chosen: list[int] = []
+    m, conflicts = cg.m, cg.adjacency
+    # search order: ascending conflict degree, ties by index
+    order = sorted(range(m), key=lambda a: (conflicts[a].bit_count(), a))
+    pos = [0] * m
+    for v, a in enumerate(order):
+        pos[a] = v
+    adj = [sum(1 << pos[b] for b in range(m) if conflicts[a] >> b & 1) for a in order]
+    # candidates incident to each point; they conflict only inside one star
+    stars = [0] * len(cg.points)
+    for a, (i, j) in enumerate(cg.candidates):
+        stars[i] |= 1 << pos[a]
+        stars[j] |= 1 << pos[a]
     nodes = 0
 
-    def dfs(avail: int) -> None:
-        nonlocal best, nodes
+    def find(avail: int, k: int) -> list[int] | None:
+        """The first independent set of ``k`` vertices of ``avail`` found, or None."""
+        nonlocal nodes
         nodes += 1
-        if not avail:
-            if len(chosen) > len(best):
-                best = chosen.copy()
-            return
-        if len(chosen) + _clique_cover_bound(cg, avail) <= len(best):
-            return
-        v = (avail & -avail).bit_length() - 1
-        chosen.append(v)
-        dfs(avail & ~(1 << v) & ~adj[v])
-        chosen.pop()
-        dfs(avail & ~(1 << v))
+        if k <= 0:
+            return []
+        if avail.bit_count() < k:
+            return None
+        # star-degree bound: a set takes at most cover(star) candidates at
+        # each point, and every candidate lies in two stars
+        cover = sum(len(_cliques(adj, avail & star)) for star in stars)
+        if cover // 2 < k:
+            return None
+        # colour bound: the vertices of the first c cliques hold at most c;
+        # branch from the last clique back, take before drop
+        cliques = _cliques(adj, avail)
+        for c in range(len(cliques), k - 1, -1):
+            clique = cliques[c - 1]
+            while clique:
+                v = clique.bit_length() - 1
+                clique ^= 1 << v
+                avail ^= 1 << v
+                rest = find(avail & ~adj[v], k - 1)
+                if rest is not None:
+                    rest.append(v)
+                    return rest
+        return None
 
-    dfs((1 << cg.m) - 1)
-    return best, nodes
+    full = (1 << m) - 1
+    incumbent = need = 0  # the best set so far (bitset) and its size
+    while (found := find(full, need + 1)) is not None:
+        incumbent = sum(1 << v for v in found)
+        for v in range(m):  # extend to a maximal set
+            if not adj[v] & incumbent:
+                incumbent |= 1 << v
+        need = incumbent.bit_count()
+    # fixing pass: ``need`` counts the edges still to take
+    taken: list[int] = []
+    avail = full
+    for a in range(m):
+        v = pos[a]
+        if not need or not avail >> v & 1:
+            continue
+        avail ^= 1 << v
+        if not incumbent >> v & 1:
+            found = find(avail & ~adj[v], need - 1)
+            if found is None:
+                continue
+            incumbent = sum(1 << u for u in found)
+        taken.append(a)
+        avail &= ~adj[v]
+        need -= 1
+    return taken, nodes
 
 
 def max_lgg(ps: PointSet) -> ExtremalResult:

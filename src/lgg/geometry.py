@@ -164,19 +164,30 @@ class PointSet:
 
 
 def pair_array(items, dtype, name: str) -> np.ndarray:
-    """Pairs as an (m, 2) ``dtype`` array; a value that does not fit names its pair."""
+    """Pairs as an (m, 2) ``dtype`` array; the first bad item is named."""
     try:
         arr = np.array(items, dtype=dtype)
-    except OverflowError:
-        for k, item in enumerate(items):
-            try:
-                np.array(item, dtype=dtype)
-            except OverflowError as exc:
-                raise ValueError(f"{name} {k}: {tuple(item)} out of range") from exc
+    except (OverflowError, ValueError):
+        _name_bad_item(items, dtype, name)
         raise
     if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        if arr.ndim:
+            _name_bad_item(items, dtype, name)
         raise ValueError(f"each {name} must be a pair, got shape {arr.shape}")
     return arr.reshape(-1, 2)
+
+
+def _name_bad_item(items, dtype, name: str) -> None:
+    """Raise for the first item that is not a pair or holds a value ``dtype`` cannot."""
+    for k, item in enumerate(items):
+        try:
+            pair = np.array(item, dtype=dtype)
+        except OverflowError as exc:
+            raise ValueError(f"{name} {k}: {tuple(item)} out of range") from exc
+        except ValueError:
+            pair = None
+        if pair is None or pair.shape != (2,):
+            raise ValueError(f"{name} {k}: expected a pair, got {item!r}")
 
 
 def outside_disk(ax, ay, bx, by, eps: float = 0.0):

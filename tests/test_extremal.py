@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from conftest import monotonic_convex_set, random_int_points
+from conftest import monotonic_convex_set, random_int_points, real_points
+from lgg.convex import circle_cycle
 from lgg.extremal import (
     MAX_POINTS,
     SizeError,
     build_conflict_graph,
+    max_independent_candidates,
     max_lgg,
 )
 from lgg.geometry import PointSet, edges_conflict
@@ -26,6 +28,69 @@ def _naive_max(ps):
             if verify(Graph(ps, edges)).valid:
                 return len(combo), combo
     return 0, ()
+
+
+def _clique_cover_bound(cg, avail):
+    """Number of cliques in a greedy cover of ``avail``; bounds the MIS size."""
+    adj = cg.adjacency
+    bound = 0
+    rest = avail
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        clique = 1 << v
+        common = rest & adj[v]
+        while common:
+            u = (common & -common).bit_length() - 1
+            clique |= 1 << u
+            common &= adj[u]
+        rest &= ~clique
+        bound += 1
+    return bound
+
+
+def _reference_max(cg):
+    """Scalar reference: include-first DFS on the lowest candidate index.
+
+    It keeps the first set of each new best size, so it returns the
+    lexicographically least maximum independent set.
+    """
+    adj = cg.adjacency
+    best = []
+    chosen = []
+
+    def dfs(avail):
+        nonlocal best
+        if not avail:
+            if len(chosen) > len(best):
+                best = chosen.copy()
+            return
+        if len(chosen) + _clique_cover_bound(cg, avail) <= len(best):
+            return
+        v = (avail & -avail).bit_length() - 1
+        chosen.append(v)
+        dfs(avail & ~(1 << v) & ~adj[v])
+        chosen.pop()
+        dfs(avail & ~(1 << v))
+
+    dfs((1 << cg.m) - 1)
+    return best
+
+
+def _parity_sets():
+    """Seeded point sets with n = 3..11 of four kinds."""
+    rng = random.Random(71)
+    lattice = [(x, y) for x in range(6) for y in range(6)]
+    dense = [(x, y) for x in range(3) for y in range(3)]
+    for trial in range(300):
+        kind = trial % 3
+        if kind == 0:
+            yield PointSet.of(sorted(rng.sample(lattice, rng.randint(3, 11))))
+        elif kind == 1:
+            yield PointSet.of(sorted(rng.sample(dense, rng.randint(3, 9))))
+        else:
+            yield real_points(rng, rng.randint(3, 11))
+    for n in range(3, 12):
+        yield circle_cycle(n).points
 
 
 class TestConflictGraph:
@@ -90,6 +155,12 @@ class TestMaxLgg:
             got = max_lgg(ps)
             cands = candidate_edges(len(ps))
             assert got.witness.edges == tuple(cands[i] for i in combo)
+
+    def test_same_witness_as_reference_search(self):
+        for ps in _parity_sets():
+            cg = build_conflict_graph(ps)
+            best, _ = max_independent_candidates(cg)
+            assert best == _reference_max(cg)
 
     def test_two_points(self):
         got = max_lgg(PointSet.of([(0, 0), (5, 5)]))

@@ -119,6 +119,16 @@ class TestPointSet:
             with pytest.raises(ValueError, match="point 1: "):
                 PointSet.of([(0, 0), (x, y)])
 
+    def test_first_non_pair_named(self):
+        cases = (
+            ([(0, 0), (1, 2, 3)], r"point 1: expected a pair, got \(1, 2, 3\)"),
+            ([(0, 0), (1,)], r"point 1: expected a pair, got \(1,\)"),
+            ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], r"point 0: expected a pair"),
+        )
+        for coords, message in cases:
+            with pytest.raises(ValueError, match=message):
+                PointSet.of(coords)
+
     def test_non_finite_named(self):
         with pytest.raises(ValueError, match="point 1: non-finite"):
             PointSet.of([(0.0, 0.0), (math.nan, 1.0)])

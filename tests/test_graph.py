@@ -43,10 +43,14 @@ class TestGraph:
             Graph(ps, ((0, 2),))
         with pytest.raises(GraphError):
             Graph(ps, ((0, 1), (1, 0)))
-        with pytest.raises(GraphError):
-            Graph(ps, ((0, 1), (1, 2, 3)))
-        with pytest.raises(GraphError, match="pair"):
+        with pytest.raises(GraphError, match=r"edge 1: expected a pair, got \(1, 2, 3\)"):
+            Graph(ps, [(0, 1), (1, 2, 3)])
+        with pytest.raises(GraphError, match=r"edge 0: expected a pair, got \(0, 1, 2\)"):
             Graph(ps, ((0, 1, 2), (1, 2, 3)))
+        with pytest.raises(GraphError, match=r"edge 1: expected a pair, got 5"):
+            Graph(ps, [(0, 1), 5])
+        with pytest.raises(GraphError, match=r"each edge must be a pair, got shape \(\)"):
+            Graph(ps, 5)
         with pytest.raises(GraphError, match="edge 1: .* out of range"):
             Graph(ps, ((0, 1), (1, 10**30)))
 

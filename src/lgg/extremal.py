@@ -1,9 +1,9 @@
 """Exact maximum locally Gabriel graphs on small point sets.
 
-Candidate edges are all C(n, 2) point pairs; two candidates are adjacent
-in the conflict graph when they share an endpoint and conflict.  Valid
-edge sets are exactly the independent sets of this graph, so the maximum
-LGG is a maximum independent set.  Adjacency is kept in bitsets.
+Candidate edges are all C(n, 2) point pairs; two are adjacent in the
+conflict graph, kept in bitsets, when they share an endpoint and fail
+``conflict_free`` (one vectorised call tests them all).  Valid edge sets
+are its independent sets, so the maximum LGG is a maximum independent set.
 
 It is found by a coloured branch and bound over the candidates renumbered
 by ascending conflict degree, with two bounds:
@@ -26,10 +26,11 @@ witness is the lexicographically least maximum set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .geometry import PointSet, edges_conflict
-from .graph import Graph, candidate_edges, checked
+import numpy as np
+
+from .geometry import PointSet, conflict_free
+from .graph import Graph, checked
 
 MAX_POINTS = 16
 
@@ -65,17 +66,20 @@ def build_conflict_graph(ps: PointSet) -> ConflictGraph:
         raise SizeError("need at least two points")
     if n > MAX_POINTS:
         raise SizeError(f"exact search capped at {MAX_POINTS} points, got {n}")
-    cands = candidate_edges(n)
-    index = {e: a for a, e in enumerate(cands)}
-    adj = [0] * len(cands)
-    # only candidates sharing an endpoint s can conflict
-    for s in range(n):
-        for q, r in combinations([t for t in range(n) if t != s], 2):
-            if edges_conflict(ps[s], ps[q], ps[r]):
-                a, b = index[min(s, q), max(s, q)], index[min(s, r), max(s, r)]
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return ConflictGraph(ps, tuple(cands), tuple(adj))
+    ci, cj = np.triu_indices(n, 1)
+    m = len(ci)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[ci, cj] = index[cj, ci] = np.arange(m)
+    # only candidates (s, q) and (s, r) sharing a point s can conflict
+    s, q, r = np.repeat(np.arange(n), m), np.tile(ci, n), np.tile(cj, n)
+    xs, ys = ps.xs, ps.ys
+    hit = (q != s) & (r != s)
+    hit &= ~conflict_free(xs[s], ys[s], xs[q], ys[q], xs[r], ys[r], ps.eps)
+    adj = [0] * m
+    for a, b in zip(index[s, q][hit].tolist(), index[s, r][hit].tolist()):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return ConflictGraph(ps, tuple(zip(ci.tolist(), cj.tolist())), tuple(adj))
 
 
 def _cliques(adj, avail: int) -> list[int]:

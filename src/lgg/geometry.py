@@ -9,11 +9,11 @@ arrays, int64 or float64, which the vectorised layers use directly;
 predicates take.
 
 The central predicate is the diametral-disk test: a point ``r`` lies in the
-closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``.
-Two edges sharing an endpoint ``p`` conflict iff one of the other endpoints
-lies in the closed diametral disk of the other edge; conflicting edges
-cannot coexist in a locally Gabriel graph.  ``outside_disk`` is the one
-definition of this test; every scalar and vectorised caller goes through it.
+closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``;
+``outside_disk`` is the one disk test.  Edges (p, q) and (p, r) coexist in
+a locally Gabriel graph iff each of q, r lies outside the other's disk;
+``conflict_free`` is the one pair rule, which the verifier, the grid walk,
+the extremal conflict graph and ``conflict_kind`` all decide with.
 """
 
 from __future__ import annotations
@@ -203,15 +203,34 @@ def outside_disk(ax, ay, bx, by, eps: float = 0.0):
     return dot > eps * (np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by))
 
 
-def _check_kinds(*pts: Point) -> None:
-    kind = pts[0].is_exact
-    for p in pts[1:]:
-        if p.is_exact != kind:
-            raise CoordinateKindError("predicate arguments mix coordinate kinds")
-
-
 def _coincident(a: Point, b: Point) -> bool:
     return a.x == b.x and a.y == b.y
+
+
+def _check_disk(p: Point, q: Point, r: Point) -> None:
+    if len({p.is_exact, q.is_exact, r.is_exact}) > 1:
+        raise CoordinateKindError("predicate arguments mix coordinate kinds")
+    if _coincident(p, q):
+        raise ValueError("disk endpoints coincide")
+    if _coincident(r, p) or _coincident(r, q):
+        raise ValueError("query point coincides with a disk endpoint")
+
+
+def conflict_free(px, py, qx, qy, rx, ry, eps: float = 0.0):
+    """Whether the edges (p, q) and (p, r) can coexist in a locally Gabriel graph.
+
+    ``r`` strictly outside the closed disk on ``pq`` and ``q`` strictly
+    outside the one on ``pr``; takes what ``outside_disk`` takes.
+    """
+    r_out = outside_disk(px - rx, py - ry, qx - rx, qy - ry, eps)
+    return r_out & outside_disk(px - qx, py - qy, rx - qx, ry - qy, eps)
+
+
+def _interior_conflict(px, py, qx, qy, rx, ry, eps: float = 0.0):
+    """``r`` strictly inside the disk on ``pq``, or ``q`` inside the one on ``pr``."""
+    # negation is exact: each term mirrors a conflict_free term, a . b < -band
+    r_in = outside_disk(rx - px, ry - py, qx - rx, qy - ry, eps)
+    return r_in | outside_disk(qx - px, qy - py, rx - qx, ry - qy, eps)
 
 
 def disk_side(p: Point, q: Point, r: Point) -> int:
@@ -220,11 +239,7 @@ def disk_side(p: Point, q: Point, r: Point) -> int:
     Returns +1 strictly outside, 0 on the boundary (within the tolerance
     band for real points) and -1 strictly inside.
     """
-    _check_kinds(p, q, r)
-    if _coincident(p, q):
-        raise ValueError("disk endpoints coincide")
-    if _coincident(r, p) or _coincident(r, q):
-        raise ValueError("query point coincides with a disk endpoint")
+    _check_disk(p, q, r)
     ax, ay = p.x - r.x, p.y - r.y
     bx, by = q.x - r.x, q.y - r.y
     eps = max(p.eps, q.eps, r.eps)
@@ -257,13 +272,11 @@ def conflict_kind(p: Point, q: Point, r: Point) -> str | None:
     """
     if _coincident(q, r):
         raise ValueError("edge endpoints q and r coincide")
-    s1 = disk_side(p, q, r)
-    s2 = disk_side(p, r, q)
-    if s1 < 0 or s2 < 0:
-        return INTERIOR
-    if s1 == 0 or s2 == 0:
-        return BOUNDARY
-    return None
+    _check_disk(p, q, r)
+    args = (p.x, p.y, q.x, q.y, r.x, r.y, max(p.eps, q.eps, r.eps))
+    if conflict_free(*args):
+        return None
+    return INTERIOR if _interior_conflict(*args) else BOUNDARY
 
 
 # --- point-set classification -------------------------------------------
@@ -309,18 +322,17 @@ def _hull_chains(pts: list[tuple]) -> tuple[list[tuple], list[tuple]]:
 
     Andrew's monotone chain, popping only on right turns.
     """
+
+    def chain(seq) -> list[tuple]:
+        out: list[tuple] = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) < 0:
+                out.pop()
+            out.append(p)
+        return out
+
     pts = sorted(set(pts))
-    lower: list[tuple] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) < 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) < 0:
-            upper.pop()
-        upper.append(p)
-    return lower, upper[::-1]
+    return chain(pts), chain(reversed(pts))[::-1]
 
 
 def _monotone_flags(vals: list) -> tuple[bool, bool, bool, bool]:
@@ -377,19 +389,17 @@ def _is_centrally_symmetric(ps: PointSet) -> bool:
     n = len(ps)
     if n % 2 != 0:
         return False
+    xs, ys = ps.xs.tolist(), ps.ys.tolist()
+    pts = list(zip(xs, ys))
     if ps.is_exact:
-        sx = sum(p.x for p in ps)
-        sy = sum(p.y for p in ps)
-        cx2, cy2 = Fraction(2 * sx, n), Fraction(2 * sy, n)
-        have = {(Fraction(p.x), Fraction(p.y)) for p in ps}
-        return all((cx2 - p.x, cy2 - p.y) in have for p in ps)
-    cx2 = 2.0 * sum(p.x for p in ps) / n
-    cy2 = 2.0 * sum(p.y for p in ps) / n
-    scale = max(max(abs(p.x), abs(p.y)) for p in ps) or 1.0
+        cx2, cy2 = Fraction(2 * sum(xs), n), Fraction(2 * sum(ys), n)
+        have = {(Fraction(x), Fraction(y)) for x, y in pts}
+        return all((cx2 - x, cy2 - y) in have for x, y in pts)
+    cx2, cy2 = 2.0 * sum(xs) / n, 2.0 * sum(ys) / n
+    scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
     tol = max(ps.eps, 1e-12) * 4.0 * scale
-    pts = [(p.x, p.y) for p in ps]
-    for p in ps:
-        mx, my = cx2 - p.x, cy2 - p.y
+    for x, y in pts:
+        mx, my = cx2 - x, cy2 - y
         if not any(abs(mx - qx) <= tol and abs(my - qy) <= tol for qx, qy in pts):
             return False
     return True
@@ -411,11 +421,9 @@ def _circumcenter(a, b, c):
 def _on_common_circle(ps: PointSet) -> bool:
     if len(ps) <= 2:
         return True
+    coords = list(zip(ps.xs.tolist(), ps.ys.tolist()))
     if ps.is_exact:
-        coords = [(Fraction(p.x), Fraction(p.y)) for p in ps]
-    else:
-        coords = [(p.x, p.y) for p in ps]
-    center = None
+        coords = [(Fraction(x), Fraction(y)) for x, y in coords]
     a = coords[0]
     for i in range(1, len(coords) - 1):
         center = _circumcenter(a, coords[i], coords[i + 1])
@@ -444,7 +452,7 @@ def classify(ps: PointSet) -> ConvexClass:
     mono = _classify_monotonic(ps)
     if mono is not None:
         return mono
-    lower, upper = _hull_chains([(p.x, p.y) for p in ps.points])
+    lower, upper = _hull_chains(list(zip(ps.xs.tolist(), ps.ys.tolist())))
     if len(set(lower + upper)) < len(ps):  # a point strictly inside the hull
         return ConvexClass(ConvexKind.NON_CONVEX, False)
     # strict: no point lies inside a hull edge

@@ -5,8 +5,8 @@ quadrant by one walk over integer offsets (x, y) from the center: it
 starts from a nearly horizontal first offset and turns counter-clockwise
 until the edge direction reaches 45 degrees.  Every step places the next
 offset strictly outside the current edge's diametral disk and strictly
-below the tangent to that disk at the current offset, which is exactly
-what keeps the union of all edges locally Gabriel.
+below the tangent to that disk at the current offset (``conflict_free``
+at the center), which is exactly what keeps the union locally Gabriel.
 
 Two step rules are provided: ``GREEDY_FEASIBLE`` takes the feasible offset
 nearest to the current one, ``ANALYSIS_GUIDED`` takes the closed-form step
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import PointSet, outside_disk
+from .geometry import PointSet, conflict_free
 from .graph import Graph, checked
 
 
@@ -47,8 +47,8 @@ class GridParams:
             raise ValueError("grid side must be at least 9")
         if not 0.0 < self.theta0 < math.pi / 4:
             raise ValueError("theta0 must lie in (0, pi/4)")
-        if self.c1 <= 1.0:
-            raise ValueError("c1 must exceed 1")
+        if not 1.0 < self.c1 < math.inf:
+            raise ValueError("c1 must be finite and exceed 1")
 
     @property
     def s(self) -> int:
@@ -103,11 +103,10 @@ def _feasible(qx, qy, rx, ry):
         & (ry <= rx)
         # counter-clockwise progress past q
         & (qx * ry - qy * rx > 0)
-        # strictly outside the closed disk with diameter 0 q, and strictly
-        # below the tangent to that disk at q (angle at q < pi/2, that is,
-        # q strictly outside the disk with diameter 0 r)
-        & outside_disk(-rx, -ry, qx - rx, qy - ry)
-        & outside_disk(-qx, -qy, rx - qx, ry - qy)
+        # the edges 0q and 0r coexist: r strictly outside the closed disk
+        # with diameter 0q, and strictly below the tangent to that disk at
+        # q (angle at q < pi/2, that is, q outside the disk on 0r)
+        & conflict_free(0, 0, qx, qy, rx, ry)
     )
 
 
@@ -119,9 +118,10 @@ def next_neighbor(q: tuple[int, int], params: GridParams) -> tuple[int, int] | N
     """
     qx, qy = q
     if params.mode is Mode.ANALYSIS_GUIDED:
-        d = math.ceil(params.c1 * math.sqrt(qx))
-        if d >= qx:
+        # ends when ceil(c1 sqrt(x)) >= x; tested before ceil, which a huge c1 overflows
+        if params.c1 * math.sqrt(qx) > qx - 1:
             return None
+        d = math.ceil(params.c1 * math.sqrt(qx))
         r = qx - d, qy + math.floor(h_from_eq1(qx, qy / qx, d) + 1.0)
         return r if _feasible(qx, qy, *r) else None
 

@@ -178,6 +178,16 @@ class TestUsage:
             run(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_import_loads_no_scipy(self):
+        # scipy would raise the resident memory of every run from 29 to 77 MB
+        script = "import sys, lgg, lgg.cli; print(sorted(m for m in sys.modules" \
+                 " if m.split('.')[0] == 'scipy'))"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
     @pytest.mark.parametrize(
         "name, content, args",
         [
@@ -252,6 +262,9 @@ class TestUsage:
                  ["emit-svg", "--width", "-5"]),
                 ("width-zero", '{"points": [[0, 0], [4, 0]], "edges": [[0, 1]]}',
                  ["emit-svg", "--width", "0"]),
+                ("c1-inf", None, ["construct", "grid", "--mode", "analysis",
+                                  "--c1", "inf", "--side", "30"]),
+                ("c1-nan", None, ["construct", "grid", "--c1", "nan", "--side", "30"]),
             ]),
         ],
     )

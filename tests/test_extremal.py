@@ -15,13 +15,12 @@ from lgg.extremal import (
     max_lgg,
 )
 from lgg.geometry import PointSet, edges_conflict
-from lgg.graph import Graph, candidate_edges, verify
+from lgg.graph import Graph, verify
 
 
 def _naive_max(ps):
     """Largest valid edge subset by exhaustive enumeration (lex-least witness)."""
-    cands = candidate_edges(len(ps))
-    best = ()
+    cands = list(itertools.combinations(range(len(ps)), 2))
     for r in range(len(cands), -1, -1):
         for combo in itertools.combinations(range(len(cands)), r):
             edges = tuple(cands[i] for i in combo)
@@ -113,20 +112,36 @@ class TestConflictGraph:
 
     def test_matches_pairwise_predicate(self):
         rng = random.Random(53)
-        ps = random_int_points(rng, 7, 15)
-        cg = build_conflict_graph(ps)
-        for a in range(cg.m):
-            i, j = cg.candidates[a]
-            for b in range(a + 1, cg.m):
-                k, l = cg.candidates[b]
-                shared = {i, j} & {k, l}
-                if not shared:
-                    assert not cg.conflicts(a, b)
-                    continue
-                (p,) = shared
-                q = j if i == p else i
-                r = l if k == p else k
-                assert cg.conflicts(a, b) == edges_conflict(ps[p], ps[q], ps[r])
+        # small integers, real points (eps 1e-9; on a lattice many tests
+        # fall inside the band), and corners and near-corners at +-2**30,
+        # where int64 dot products near their limit
+        sets = [random_int_points(rng, 7, 15)]
+        sets += [real_points(rng, rng.randint(5, 12)) for _ in range(4)]
+        lattice = [(x * 0.1, y * 0.1) for x in range(5) for y in range(5)]
+        sets += [PointSet.of(sorted(rng.sample(lattice, 10)), 1e-9) for _ in range(4)]
+        lim = 2**30
+        for _ in range(4):
+            corners = {
+                (sx * lim, sy * lim - d * sy) for sx in (-1, 1) for sy in (-1, 1)
+                for d in (0, 1)
+            }
+            while len(corners) < 12:
+                corners.add((rng.randint(-lim, lim), rng.randint(-lim, lim)))
+            sets.append(PointSet.of(sorted(corners)))
+        for ps in sets:
+            cg = build_conflict_graph(ps)
+            for a in range(cg.m):
+                i, j = cg.candidates[a]
+                for b in range(a + 1, cg.m):
+                    k, l = cg.candidates[b]
+                    shared = {i, j} & {k, l}
+                    if not shared:
+                        assert not cg.conflicts(a, b)
+                        continue
+                    (p,) = shared
+                    q = j if i == p else i
+                    r = l if k == p else k
+                    assert cg.conflicts(a, b) == edges_conflict(ps[p], ps[q], ps[r])
 
     def test_size_limits(self):
         with pytest.raises(SizeError):
@@ -153,7 +168,7 @@ class TestMaxLgg:
             ps = random_int_points(rng, 4, 6)
             _, combo = _naive_max(ps)
             got = max_lgg(ps)
-            cands = candidate_edges(len(ps))
+            cands = list(itertools.combinations(range(len(ps)), 2))
             assert got.witness.edges == tuple(cands[i] for i in combo)
 
     def test_same_witness_as_reference_search(self):

@@ -2,19 +2,19 @@
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import random_int_points, strictly_monotonic_set
-from lgg.geometry import BOUNDARY, PointSet, in_closed_disk
+from lgg.geometry import BOUNDARY, INTERIOR, PointSet, in_closed_disk
 from lgg.graph import (
     Graph,
     GraphError,
     InvariantViolation,
     Violation,
     _mix,
-    candidate_edges,
     checked,
     random_maximal_lgg,
     verify,
@@ -138,7 +138,7 @@ class TestVerify:
         rng = random.Random(97)
         for _ in range(500):
             ps = random_int_points(rng, 20, 50)
-            cands = candidate_edges(20)
+            cands = list(combinations(range(20), 2))
             edges = rng.sample(cands, rng.randrange(0, 40))
             g = Graph(ps, tuple(edges))
             assert verify(g) == verify_direct(g)
@@ -154,7 +154,7 @@ class TestVerify:
             while len(corners) < 16:
                 corners.add((rng.randint(-lim, lim), rng.randint(-lim, lim)))
             ps = PointSet.of(sorted(corners))
-            edges = rng.sample(candidate_edges(16), rng.randrange(10, 60))
+            edges = rng.sample(list(combinations(range(16), 2)), rng.randrange(10, 60))
             g = Graph(ps, tuple(edges))
             assert verify(g) == verify_direct(g)
             assert verify(g).violations
@@ -163,7 +163,7 @@ class TestVerify:
         # than a verifier chunk; random chords add many small degree groups
         ps = random_int_points(rng, 400, 30)
         spokes = [(0, j) for j in range(1, 400)]
-        chords = rng.sample(candidate_edges(400)[399:], 300)
+        chords = rng.sample(list(combinations(range(400), 2))[399:], 300)
         g = Graph(ps, tuple(spokes + chords))
         assert g.degree(0) == 399
         assert verify(g) == verify_direct(g)
@@ -174,7 +174,23 @@ class TestVerify:
         rng = random.Random(98)
         for _ in range(50):
             ps = real_points(rng, 12)
-            edges = rng.sample(candidate_edges(12), 20)
+            edges = rng.sample(list(combinations(range(12), 2)), 20)
+            g = Graph(ps, tuple(edges))
+            assert verify(g) == verify_direct(g)
+
+        # the right angle at (2, 0), bent inside the 1e-9 band (boundary
+        # conflicts) and past it (interior conflicts, or none)
+        for dx, kinds in [(0.0, [BOUNDARY] * 2), (1e-12, [BOUNDARY] * 2),
+                          (-1e-12, [BOUNDARY] * 2), (1e-10, [BOUNDARY] * 2),
+                          (1e-6, [INTERIOR] * 2), (-1e-6, [])]:
+            ps = PointSet.of([(0.0, 0.0), (2.0, 0.0), (2.0 + dx, 2.0)], 1e-9)
+            g = Graph(ps, ((0, 1), (1, 2), (0, 2)))
+            assert verify(g) == verify_direct(g)
+            assert [v.kind for v in verify(g).violations] == kinds
+        lattice = [(x * 0.1, y * 0.1) for x in range(6) for y in range(6)]
+        for _ in range(20):
+            ps = PointSet.of(sorted(rng.sample(lattice, 12)), 1e-9)
+            edges = rng.sample(list(combinations(range(12), 2)), 20)
             g = Graph(ps, tuple(edges))
             assert verify(g) == verify_direct(g)
 
@@ -295,7 +311,7 @@ class TestRandomMaximal:
             g = random_maximal_lgg(ps, seed)
             assert verify(g).valid
             present = set(g.edges)
-            for cand in candidate_edges(30):
+            for cand in combinations(range(30), 2):
                 if cand in present:
                     continue
                 extended = Graph(ps, g.edges + (cand,))

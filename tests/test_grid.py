@@ -32,8 +32,9 @@ class TestParams:
             GridParams(g=8)
         with pytest.raises(ValueError):
             GridParams(g=30, theta0=1.0)
-        with pytest.raises(ValueError):
-            GridParams(g=30, c1=1.0)
+        for c1 in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                GridParams(g=30, c1=c1)
         with pytest.raises(ValueError):
             GridParams(g=30, theta0=0.0)
         with pytest.raises(TypeError):  # s is always floor(g / 3)
@@ -91,6 +92,13 @@ class TestNextNeighbor:
     def test_modes_stop_at_small_offsets(self):
         for mode in Mode:
             assert next_neighbor((2, 2), GridParams(g=9, mode=mode)) is None
+
+    def test_huge_c1_ends_the_walk_without_overflow(self):
+        # c1 * sqrt(x) is inf here; ceil of it would raise OverflowError
+        params = GridParams(g=30, c1=1e308, mode=Mode.ANALYSIS_GUIDED)
+        _, stats = build(params)
+        assert neighbors_q1(params) == [first_neighbor(params)]
+        assert stats.q1_count == 1
 
     def test_greedy_matches_exhaustive_search(self):
         rng = random.Random(21)

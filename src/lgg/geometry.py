@@ -164,10 +164,18 @@ class PointSet:
 
 
 def pair_array(items, dtype, name: str) -> np.ndarray:
-    """Pairs as an (m, 2) ``dtype`` array; the first bad item is named."""
+    """Pairs as an (m, 2) ``dtype`` array; the first bad item is named.
+
+    A list or tuple of two-element lists or tuples is read in one
+    ``np.fromiter`` pass over its values; anything else by ``np.array``.
+    """
+    pairs = isinstance(items, (list, tuple)) and set(map(type, items)) <= {list, tuple}
     try:
+        if pairs and set(map(len, items)) <= {2}:
+            arr = np.fromiter(chain.from_iterable(items), dtype, 2 * len(items))
+            return arr.reshape(-1, 2)
         arr = np.array(items, dtype=dtype)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         _name_bad_item(items, dtype, name)
         raise
     if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):

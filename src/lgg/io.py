@@ -9,13 +9,14 @@ Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 (generator name, parameters, seed, epsilon).  Output is byte-stable:
 canonical edge order, sorted keys, shortest round-trip numbers.
 
-The JSON reader checks each value's JSON type (coordinates are numbers,
-endpoints integers, never booleans), builds the coordinate and edge arrays
-once and leaves range and duplicate checks to ``PointSet`` and ``Graph``;
-the writer reads those arrays back with ``tolist``.  The CSV reader checks
-each row as a ``Point`` so that a bad value names its line.  Every
-malformed input raises ``FormatError`` naming the file and the line, point
-or edge at fault.
+The writer formats the coordinate and edge arrays straight into the text
+around ``json.dumps`` of ``meta``.  The JSON reader checks JSON types over
+whole arrays (arrays of two-element arrays, coordinates numbers, endpoints
+integers, never booleans) and walks the items only when a check fails, to
+name the first bad one; range and duplicate checks are left to ``PointSet``
+and ``Graph``.  The CSV reader checks each row as a ``Point`` so that a bad
+value names its line.  Every malformed input raises ``FormatError`` naming
+the file and the line, point, edge or array at fault.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -44,16 +46,21 @@ def _items(items, make, name):
         raise FormatError(f"{name(k)}: {exc}") from exc
 
 
-def _json_only(*types):
-    """``(a, b)`` for JSON values whose type is in ``types``; never ``bool``."""
+def _json_pairs(items, types: tuple, name: str) -> set:
+    """The value types of ``items``, an array of [a, b] arrays of ``types``."""
+    if type(items) is not list:
+        raise FormatError(f"{name}s: expected an array, got {items!r:.40}")
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        if (kinds := set(map(type, chain.from_iterable(items)))).issubset(types):
+            return kinds
+    for k, item in enumerate(items):  # a check failed: name the first bad item
+        if type(item) is not list or len(item) != 2:
+            got = f"got {item!r:.40}"
+            raise FormatError(f"{name} {k}: expected a two-element array, {got}")
+        if not set(map(type, item)).issubset(types):
+            break
     names = " or ".join(t.__name__ for t in types)
-
-    def checked(a, b):
-        if type(a) not in types or type(b) not in types:
-            raise TypeError(f"expected {names}, got [{a!r}, {b!r}]")
-        return a, b
-
-    return checked
+    raise FormatError(f"{name} {k}: expected {names}, got {item!r}")
 
 
 def _build(make, *args):
@@ -104,13 +111,17 @@ def load_points(path: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
 
 
 def graph_to_json(g: Graph, meta: dict | None = None) -> str:
+    """``json.dumps`` of the arrays' ``tolist()`` with sorted keys, byte for byte."""
     ps = g.points
-    obj = {
-        "points": np.column_stack((ps.xs, ps.ys)).tolist(),
-        "edges": g.edge_array.tolist(),
-        "meta": {"epsilon": ps.eps, **(meta or {})},
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    pair = "[%d,%d]" if ps.is_exact else "[%r,%r]"  # %r: the float repr json writes
+    xy = np.column_stack((ps.xs, ps.ys)).ravel().tolist()
+    ij = g.edge_array.ravel().tolist()
+    meta = {"epsilon": ps.eps, **(meta or {})}
+    return '{"edges":[%s],"meta":%s,"points":[%s]}\n' % (
+        ",".join(["[%d,%d]"] * (len(ij) // 2)) % tuple(ij),
+        json.dumps(meta, sort_keys=True, separators=(",", ":")),
+        ",".join([pair] * len(ps)) % tuple(xy),
+    )
 
 
 def graph_from_json(text: str) -> Graph:
@@ -122,15 +133,13 @@ def graph_from_json(text: str) -> Graph:
             raise ValueError(
                 f"meta.epsilon must be a finite nonnegative JSON number, got {eps!r}"
             )
-        eps = float(eps)
-        real = any(isinstance(c, float) for xy in raw_pts for c in xy)
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
-    pts = list(_items(raw_pts, _json_only(int, float), "point {}".format))
-    xy = _build(pair_array, pts, np.float64 if real else np.int64, "point")
-    ps = _build(PointSet, xy[:, 0], xy[:, 1], eps if real else 0.0)
-    edges = list(_items(raw_edges, _json_only(int), "edge {}".format))
-    return _build(Graph, ps, edges)
+    real = float in _json_pairs(raw_pts, (int, float), "point")
+    xy = _build(pair_array, raw_pts, np.float64 if real else np.int64, "point")
+    ps = _build(PointSet, xy[:, 0], xy[:, 1], float(eps) if real else 0.0)
+    _json_pairs(raw_edges, (int,), "edge")
+    return _build(Graph, ps, raw_edges)
 
 
 def save_graph(g: Graph, path: str, meta: dict | None = None) -> None:

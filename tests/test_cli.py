@@ -241,6 +241,7 @@ class TestUsage:
              ' "meta": {"epsilon": NaN}}', ["verify"]),
             ("negative-epsilon-real", '{"points": [[0.5, 0], [1, 1]], "edges": [],'
              ' "meta": {"epsilon": -1}}', ["verify"]),
+            # new cases go at the end of this group, whose ids are the case names
             *(pytest.param(*case, id=case[0]) for case in [
                 ("huge-edge-index", '{"points": [[0, 0], [1, 1]], "edges": [[0, 1'
                  + "0" * 30 + ']]}', ["verify"]),
@@ -265,6 +266,14 @@ class TestUsage:
                 ("c1-inf", None, ["construct", "grid", "--mode", "analysis",
                                   "--c1", "inf", "--side", "30"]),
                 ("c1-nan", None, ["construct", "grid", "--c1", "nan", "--side", "30"]),
+                ("object-points", '{"points": {"ab": 1, "cd": 2}, "edges": []}',
+                 ["verify"]),
+                ("string-edges", '{"points": [[0, 0], [1, 1]], "edges": "01"}',
+                 ["verify"]),
+                ("triple-edge", '{"points": [[0, 0], [1, 1]], "edges": [[0, 1, 1]]}',
+                 ["verify"]),
+                ("scalar-edge", '{"points": [[0, 0], [1, 1]], "edges": [5]}',
+                 ["verify"]),
             ]),
         ],
     )
@@ -295,6 +304,10 @@ NAMED = {
     "huge-edge-index": "edge 0",
     "huge-int-point": "point 1",
     "negative-zero-duplicate": "point 1",
+    "object-points": "points: expected an array",
+    "string-edges": "edges: expected an array",
+    "triple-edge": "edge 0: expected a two-element array",
+    "scalar-edge": "edge 0: expected a two-element array",
 }
 
 

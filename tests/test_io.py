@@ -1,11 +1,14 @@
 """Points CSV parsing, graph JSON round-trips, and SVG output."""
 
+import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_int_points
-from lgg.geometry import PointSet
+from lgg.geometry import MAX_EXACT_COORD, PointSet, pair_array
 from lgg.graph import Graph, random_maximal_lgg
 from lgg.io import (
     FormatError,
@@ -84,6 +87,72 @@ class TestGraphJson:
         path = str(tmp_path / "g.json")
         save_graph(g, path, {"generator": "unit"})
         assert load_graph(path) == g
+
+
+def _reference_json(g, meta=None):
+    """Scalar reference writer: ``json.dumps`` of the arrays' ``tolist()``."""
+    ps = g.points
+    obj = {
+        "points": np.column_stack((ps.xs, ps.ys)).tolist(),
+        "edges": g.edge_array.tolist(),
+        "meta": {"epsilon": ps.eps, **(meta or {})},
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _int_graphs():
+    lim = MAX_EXACT_COORD
+    corners = PointSet.of([(-lim, -lim), (lim, -lim), (-lim, lim), (lim, lim), (0, 0)])
+    yield "corners", Graph(corners, [(0, 4), (1, 4), (2, 4), (3, 4), (0, 1)])
+    yield "no-edges", Graph(corners, ())
+    yield "one-point", Graph(PointSet.of([(-7, 3)]), ())
+    for seed in (1, 2):
+        ps = random_int_points(random.Random(90 + seed), 40, 10**6)
+        yield f"random-{seed}", random_maximal_lgg(ps, seed)
+
+
+def _real_graphs():
+    odd = [(-0.0, 5e-324), (1e16, 1 / 3), (-1e16, -5e-324), (0.1, 2.5), (-1.5, 1e-300)]
+    ps = PointSet.of(odd, 1e-9)
+    yield "odd-floats", Graph(ps, [(0, 1), (0, 3), (2, 4), (1, 4)])
+    lattice = [(i * 0.1, j * 0.1) for i in range(-4, 5) for j in range(5)]
+    ps = PointSet.of(lattice, 1e-6)
+    yield "lattice", Graph(ps, [(i, i + 1) for i in range(0, len(lattice) - 1, 2)])
+    yield "real-no-edges", Graph(ps, ())
+
+
+GRAPHS = dict((*_int_graphs(), *_real_graphs()))
+METAS = [
+    None,
+    {"generator": "test", "seed": 3},
+    {"params": [[1, [2.5, None]], []], "name": "caf\u00e9", "flag": True},
+]
+
+
+class TestWriterParity:
+    """``graph_to_json`` writes what ``json.dumps`` of Python lists writes."""
+
+    @pytest.mark.parametrize("meta", METAS, ids=["none", "flat", "nested"])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_matches_json_dumps(self, name, meta):
+        g = GRAPHS[name]
+        assert graph_to_json(g, meta) == _reference_json(g, meta)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_round_trip(self, name):
+        g = GRAPHS[name]
+        assert graph_from_json(graph_to_json(g, METAS[2])) == g
+
+
+class TestPairArray:
+    @pytest.mark.parametrize("items, message", [
+        ([(0, 1), (1, 2**63)], r"edge 1: \(1, 9223372036854775808\) out of range"),
+        ([[0, 1], [1e300, 1]], r"edge 1: \(1e\+300, 1\) out of range"),
+        ([[0, 1], [math.nan, 1]], r"edge 1: expected a pair, got \[nan, 1\]"),
+    ])
+    def test_int64_overflow_named(self, items, message):
+        with pytest.raises(ValueError, match=message):
+            pair_array(items, np.int64, "edge")
 
 
 class TestSvg:

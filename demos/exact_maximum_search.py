@@ -23,10 +23,11 @@ res = max_lgg(ps)
 print(f"collinear triple: max={res.max_edges}, witness={res.witness.edges}")
 
 # The conflict graph itself is tiny here: candidates (0,1), (0,2), (1,2),
-# with the long edge (0,2) conflicting with each short edge.
+# with the long edge (0,2) conflicting with each short edge.  Row a of
+# the adjacency is a bitset: bit b is set when candidates a and b conflict.
 cg = build_conflict_graph(ps)
 for a in range(cg.m):
-    row = [b for b in range(cg.m) if cg.conflicts(a, b)]
+    row = [b for b in range(cg.m) if cg.adjacency[a] >> b & 1]
     print(f"  candidate {cg.candidates[a]} conflicts with {row}")
 
 # Fan point sets meet the half-convex bound 2n - 3 exactly.

@@ -14,17 +14,15 @@ from .geometry import (
     Point,
     PointSet,
     classify,
-    edges_conflict,
     in_closed_disk,
 )
-from .graph import ConflictReport, Graph, random_maximal_lgg, verify, verify_direct
+from .graph import ConflictReport, Graph, random_maximal_lgg, verify
 from .grid import (
     GridBuildStats,
     GridParams,
     Mode,
     StepState,
     build,
-    feasibility_gap,
     first_neighbor,
     h_from_eq1,
     neighbors_q1,
@@ -61,8 +59,6 @@ __all__ = [
     "centrally_symmetric_ladder",
     "circle_cycle",
     "classify",
-    "edges_conflict",
-    "feasibility_gap",
     "first_neighbor",
     "h_from_eq1",
     "half_convex_fan",
@@ -78,7 +74,6 @@ __all__ = [
     "random_maximal_lgg",
     "step_states",
     "verify",
-    "verify_direct",
 ]
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ success, 1 on invariant violations (an invalid graph under ``verify`` or
 ``indepset``, a built graph or witness that fails verification, a points
 file that is not strictly monotonic for ``path``, too many points for
 ``extremal``), 2 on usage or parse errors, including files that cannot be
-opened or decoded and out-of-range construction flags.
+opened or decoded, coordinates out of range (beyond 2**30 for integers,
+non-finite or beyond 2**256 for reals) and out-of-range construction flags.
 
 The ``scaling`` command runs grid builds for several sides, one after
 another, and emits a CSV with a trailing log-log fit line.
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-o", "--output", default=None)
     for k in (cg, s):
         k.add_argument("--mode", choices=["greedy", "analysis"], default="greedy")
-        k.add_argument("--theta0", type=float, default=1.74e-3)
-        k.add_argument("--c1", type=float, default=1.01)
+        k.add_argument("--theta0", type=float, default=grid.GridParams.theta0)
+        k.add_argument("--c1", type=float, default=grid.GridParams.c1)
 
     g = sub.add_parser("emit-svg", help="render a graph to static SVG")
     g.add_argument("graph")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DEFAULT_EPSILON, ConvexClass, PointSet, classify
+from .geometry import DEFAULT_EPSILON, MAX_REAL_COORD, ConvexClass, PointSet, classify
 from .graph import Graph, checked
 
 DEFAULT_RADIUS = float(2**20)
@@ -39,7 +39,7 @@ def _checked(name: str, ps: PointSet, edges) -> Construction:
 def _on_circle(radius: float, step: float, count: int) -> list[tuple[float, float]]:
     """``count`` points at angles 0, step, 2 step, ... on a circle about 0."""
     # keeps squared distances clear of float64 overflow and underflow
-    if not 2.0**-256 <= radius <= 2.0**256:
+    if not 1.0 / MAX_REAL_COORD <= radius <= MAX_REAL_COORD:
         raise ConstructionError(
             f"radius must be finite and in [2**-256, 2**256], got {radius!r}"
         )

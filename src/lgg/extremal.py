@@ -49,9 +49,6 @@ class ConflictGraph:
     def m(self) -> int:
         return len(self.candidates)
 
-    def conflicts(self, a: int, b: int) -> bool:
-        return bool(self.adjacency[a] >> b & 1)
-
 
 @dataclass(frozen=True)
 class ExtremalResult:

@@ -33,6 +33,11 @@ import numpy as np
 #: factor of a . b is at most 2**31 - 1, so |a . b| <= 2**63 - 2**31.
 MAX_EXACT_COORD = 2**30
 
+#: Real coordinates are bounded so that the predicates' squared distances
+#: stay clear of float64 overflow: differences are at most 2**257 per axis,
+#: so dot products and squared norms are at most 2**515.
+MAX_REAL_COORD = 2.0**256
+
 #: Default relative tolerance of real-coordinate points.
 DEFAULT_EPSILON = 1e-9
 
@@ -65,7 +70,9 @@ def _in_range(xs, ys, eps: float, exact: bool):
     if not 0.0 <= eps < math.inf:
         raise ValueError("eps must be finite and nonnegative")
     # false for nan as well as for infinities
-    return (abs(xs) < math.inf) & (abs(ys) < math.inf), "non-finite coordinate"
+    lim = MAX_REAL_COORD
+    ok = (abs(xs) <= lim) & (abs(ys) <= lim)
+    return ok, "non-finite coordinate or magnitude above 2**256"
 
 
 @dataclass(frozen=True)
@@ -260,15 +267,6 @@ def disk_side(p: Point, q: Point, r: Point) -> int:
 def in_closed_disk(p: Point, q: Point, r: Point) -> bool:
     """True iff ``r`` lies in the closed disk with ``pq`` as diameter."""
     return disk_side(p, q, r) <= 0
-
-
-def edges_conflict(p: Point, q: Point, r: Point) -> bool:
-    """Conflict test for the two edges (p, q) and (p, r) sharing ``p``.
-
-    Equivalent to the angle formulation: the edges conflict iff the angle
-    at ``q`` or at ``r`` in triangle pqr is at least a right angle.
-    """
-    return conflict_kind(p, q, r) is not None
 
 
 def conflict_kind(p: Point, q: Point, r: Point) -> str | None:

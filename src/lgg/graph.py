@@ -6,9 +6,9 @@ asked for.  A graph is valid (locally Gabriel) when no edge's closed
 diametral disk contains a neighbor of either endpoint.  ``verify`` checks
 the equivalent per-vertex formulation (every pair of edges at a shared
 vertex passes ``geometry.conflict_free``) in one vectorised pass on the
-CSR arrays; ``verify_direct`` checks the per-edge disk definition
-literally with the scalar predicates.  The two must agree on every input
-and tests hold them to that.
+CSR arrays.  It is the library's one formulation of the check; the tests
+hold it to a scalar reference of the per-edge disk definition
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .geometry import (
     PointSet,
     _interior_conflict,
     conflict_free,
-    conflict_kind,
-    in_closed_disk,
     outside_disk,
     pair_array,
 )
@@ -56,7 +54,8 @@ class Graph:
             given = pair_array(edges, np.int64, "edge")
         except ValueError as exc:
             raise GraphError(str(exc)) from exc
-        lo, hi = given.min(axis=1), given.max(axis=1)
+        a, b = given.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         loop = lo == hi
         if (bad := loop | (lo < 0) | (hi >= n)).any():
             k = int(bad.argmax())
@@ -68,9 +67,12 @@ class Graph:
         if (dup := keys[1:] == keys[:-1]).any():
             raise GraphError(f"duplicate edge {divmod(int(keys[1:][dup][0]), n)}")
         lo, hi = np.divmod(keys, n)
-        # every edge from both ends, sorted by (vertex, neighbor)
-        src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-        indices = dst[np.argsort(src * n + dst)]
+        # every edge from both ends, sorted by (vertex, neighbor): the edges
+        # are sorted by (lo, hi), so a stable sort on the source alone lists
+        # each vertex's lower neighbors (reversed half, first) and then its
+        # higher ones, each in ascending order
+        src = np.concatenate((hi, lo))
+        indices = np.concatenate((lo, hi))[np.argsort(src, kind="stable")]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         edge_array = np.column_stack((lo, hi))
@@ -170,28 +172,6 @@ def checked(points: PointSet, edges) -> Graph:
             f" with neighbors {v.v} and {v.w} ({v.kind})"
         )
     return graph
-
-
-def verify_direct(g: Graph) -> ConflictReport:
-    """Per-edge cross-check oracle for ``verify``.
-
-    Iterates edges (u, v) and tests every neighbor of u and of v for
-    membership in the closed disk with uv as diameter; ``conflict_kind``
-    labels each conflicting pair.
-    """
-    pts = g.points
-    found: set[tuple[int, int, int]] = set()
-    for u, v in g.edges:
-        for w in g.adjacency[u]:
-            # w in d_uv conflicts edges (u, v) and (u, w) at shared vertex u
-            if w != v and in_closed_disk(pts[u], pts[v], pts[w]):
-                found.add((u, min(v, w), max(v, w)))
-        for w in g.adjacency[v]:
-            if w != u and in_closed_disk(pts[v], pts[u], pts[w]):
-                found.add((v, min(u, w), max(u, w)))
-    triples = sorted(found)
-    kinds = [conflict_kind(pts[u], pts[v], pts[w]) for u, v, w in triples]
-    return ConflictReport(tuple(Violation(*t, k) for t, k in zip(triples, kinds)))
 
 
 # --- seeded random maximal LGGs -------------------------------------------

@@ -84,18 +84,6 @@ def h_from_eq1(x_i: int, tan_theta_i: float, d_i: int) -> float:
     return (math.sqrt(b * b + 4.0 * d_i * (x_i - d_i)) - b) / 2.0
 
 
-def feasibility_gap(x_i: int, theta_i: float, d_i: int) -> float:
-    """Vertical room for the next grid point: d cot(theta) - h.
-
-    The step is feasible (a grid point exists between the disk and the
-    tangent line on the chosen vertical) when the gap exceeds 1.
-    """
-    if not 0.0 < theta_i <= math.pi / 4:
-        raise ValueError("theta must lie in (0, pi/4]")
-    tan = math.tan(theta_i)
-    return d_i / tan - h_from_eq1(x_i, tan, d_i)
-
-
 def _feasible(qx, qy, rx, ry):
     """Exact feasibility of offset r after offset q; ints or int64 arrays."""
     return (

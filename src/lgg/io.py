@@ -36,16 +36,6 @@ class FormatError(ValueError):
     """Unparseable points or graph file."""
 
 
-def _items(items, make, name):
-    """``make(a, b)`` for each ``[a, b]`` item; a bad item is named by ``name``."""
-    k = 0
-    try:
-        for k, (a, b) in enumerate(items):
-            yield make(a, b)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise FormatError(f"{name(k)}: {exc}") from exc
-
-
 def _json_pairs(items, types: tuple, name: str) -> set:
     """The value types of ``items``, an array of [a, b] arrays of ``types``."""
     if type(items) is not list:
@@ -98,12 +88,14 @@ def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
         raise FormatError("no points in file")
     real = any("." in t or "e" in t.lower() for _, x, y in rows for t in (x, y))
     num, eps = (float, epsilon) if real else (int, 0.0)
-    pts = _items(
-        ((x, y) for _, x, y in rows),
-        lambda x, y: Point(num(x), num(y), eps),  # a bad value names its line
-        lambda k: f"line {rows[k][0]}",
-    )
-    return _build(PointSet.of, [(p.x, p.y) for p in pts], eps)
+    coords = []
+    for lineno, x, y in rows:
+        try:  # a bad value names its line
+            p = Point(num(x), num(y), eps)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+        coords.append((p.x, p.y))
+    return _build(PointSet.of, coords, eps)
 
 
 def load_points(path: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
@@ -116,7 +108,7 @@ def graph_to_json(g: Graph, meta: dict | None = None) -> str:
     pair = "[%d,%d]" if ps.is_exact else "[%r,%r]"  # %r: the float repr json writes
     xy = np.column_stack((ps.xs, ps.ys)).ravel().tolist()
     ij = g.edge_array.ravel().tolist()
-    meta = {"epsilon": ps.eps, **(meta or {})}
+    meta = {**(meta or {}), "epsilon": ps.eps}
     return '{"edges":[%s],"meta":%s,"points":[%s]}\n' % (
         ",".join(["[%d,%d]"] * (len(ij) // 2)) % tuple(ij),
         json.dumps(meta, sort_keys=True, separators=(",", ":")),

@@ -1,0 +1,109 @@
+"""Scalar reference implementations that the library is tested against.
+
+Each one states a definition literally, with the scalar predicates and no
+vectorisation, so that a test can hold the fast library path to it:
+
+* ``verify_direct``: the per-edge disk definition of a locally Gabriel
+  graph, against ``lgg.graph.verify``'s per-vertex pair pass;
+* ``edges_conflict``: the two-edge conflict as a boolean;
+* ``feasibility_gap``: the vertical room the analysis of the grid walk
+  needs at one step;
+* ``include_first_max``: an include-first DFS for the maximum independent
+  set of a conflict graph, against ``lgg.extremal``'s branch and bound.
+"""
+
+from __future__ import annotations
+
+import math
+
+from lgg.geometry import Point, conflict_kind, in_closed_disk
+from lgg.graph import ConflictReport, Graph, Violation
+from lgg.grid import h_from_eq1
+
+
+def verify_direct(g: Graph) -> ConflictReport:
+    """Per-edge cross-check oracle for ``verify``.
+
+    Iterates edges (u, v) and tests every neighbor of u and of v for
+    membership in the closed disk with uv as diameter; ``conflict_kind``
+    labels each conflicting pair.
+    """
+    pts = g.points
+    found: set[tuple[int, int, int]] = set()
+    for u, v in g.edges:
+        for w in g.adjacency[u]:
+            # w in d_uv conflicts edges (u, v) and (u, w) at shared vertex u
+            if w != v and in_closed_disk(pts[u], pts[v], pts[w]):
+                found.add((u, min(v, w), max(v, w)))
+        for w in g.adjacency[v]:
+            if w != u and in_closed_disk(pts[v], pts[u], pts[w]):
+                found.add((v, min(u, w), max(u, w)))
+    triples = sorted(found)
+    kinds = [conflict_kind(pts[u], pts[v], pts[w]) for u, v, w in triples]
+    return ConflictReport(tuple(Violation(*t, k) for t, k in zip(triples, kinds)))
+
+
+def edges_conflict(p: Point, q: Point, r: Point) -> bool:
+    """Conflict test for the two edges (p, q) and (p, r) sharing ``p``.
+
+    Equivalent to the angle formulation: the edges conflict iff the angle
+    at ``q`` or at ``r`` in triangle pqr is at least a right angle.
+    """
+    return conflict_kind(p, q, r) is not None
+
+
+def feasibility_gap(x_i: int, theta_i: float, d_i: int) -> float:
+    """Vertical room for the next grid point: d cot(theta) - h.
+
+    The step is feasible (a grid point exists between the disk and the
+    tangent line on the chosen vertical) when the gap exceeds 1.
+    """
+    if not 0.0 < theta_i <= math.pi / 4:
+        raise ValueError("theta must lie in (0, pi/4]")
+    tan = math.tan(theta_i)
+    return d_i / tan - h_from_eq1(x_i, tan, d_i)
+
+
+def _clique_cover_bound(adj, avail: int) -> int:
+    """Number of cliques in a greedy cover of ``avail``; bounds the MIS size."""
+    bound = 0
+    rest = avail
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        clique = 1 << v
+        common = rest & adj[v]
+        while common:
+            u = (common & -common).bit_length() - 1
+            clique |= 1 << u
+            common &= adj[u]
+        rest &= ~clique
+        bound += 1
+    return bound
+
+
+def include_first_max(cg) -> list[int]:
+    """Include-first DFS on the lowest candidate index of a conflict graph.
+
+    It keeps the first set of each new best size, so it returns the
+    lexicographically least maximum independent set.
+    """
+    adj = cg.adjacency
+    best = []
+    chosen = []
+
+    def dfs(avail):
+        nonlocal best
+        if not avail:
+            if len(chosen) > len(best):
+                best = chosen.copy()
+            return
+        if len(chosen) + _clique_cover_bound(adj, avail) <= len(best):
+            return
+        v = (avail & -avail).bit_length() - 1
+        chosen.append(v)
+        dfs(avail & ~(1 << v) & ~adj[v])
+        chosen.pop()
+        dfs(avail & ~(1 << v))
+
+    dfs((1 << cg.m) - 1)
+    return best

@@ -25,14 +25,15 @@ from lgg.convex import (
     monotonic_path,
 )
 from lgg.extremal import max_lgg
-from lgg.geometry import Point, PointSet, edges_conflict, in_closed_disk
+from lgg.geometry import Point, PointSet, in_closed_disk
 from lgg.graph import Graph, random_maximal_lgg, verify
-from lgg.grid import GridParams, Mode, build, feasibility_gap, h_from_eq1
+from lgg.grid import GridParams, Mode, build, h_from_eq1
 from lgg.independence import (
     independent_set,
     longest_monotone_subsequence,
     neighborhood_coloring,
 )
+from reference import edges_conflict, feasibility_gap
 
 
 @contextmanager

@@ -274,6 +274,8 @@ class TestUsage:
                  ["verify"]),
                 ("scalar-edge", '{"points": [[0, 0], [1, 1]], "edges": [5]}',
                  ["verify"]),
+                ("huge-real-point", '{"points": [[0.0, 0.0], [1e300, 1.0]],'
+                 ' "edges": []}', ["verify"]),
             ]),
         ],
     )
@@ -308,6 +310,7 @@ NAMED = {
     "string-edges": "edges: expected an array",
     "triple-edge": "edge 0: expected a two-element array",
     "scalar-edge": "edge 0: expected a two-element array",
+    "huge-real-point": "point 1: non-finite",
 }
 
 

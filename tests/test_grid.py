@@ -12,13 +12,13 @@ from lgg.grid import (
     Mode,
     _feasible,
     build,
-    feasibility_gap,
     first_neighbor,
     h_from_eq1,
     neighbors_q1,
     next_neighbor,
     step_states,
 )
+from reference import feasibility_gap
 
 
 class TestParams:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_int_points
-from lgg.geometry import MAX_EXACT_COORD, PointSet, pair_array
+from lgg.geometry import MAX_EXACT_COORD, MAX_REAL_COORD, PointSet, pair_array
 from lgg.graph import Graph, random_maximal_lgg
 from lgg.io import (
     FormatError,
@@ -81,6 +81,13 @@ class TestGraphJson:
         with pytest.raises(FormatError, match="meta.epsilon"):
             graph_from_json(text)
 
+    def test_meta_cannot_override_epsilon(self):
+        ps = PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
+        g = Graph(ps, ((0, 1),))
+        text = graph_to_json(g, {"epsilon": 0.25, "generator": "test"})
+        assert json.loads(text)["meta"] == {"epsilon": 1e-9, "generator": "test"}
+        assert graph_from_json(text) == g
+
     def test_save_and_load(self, tmp_path):
         ps = PointSet.of([(0, 0), (5, 1), (9, 7)])
         g = Graph(ps, ((0, 1), (1, 2)))
@@ -95,7 +102,7 @@ def _reference_json(g, meta=None):
     obj = {
         "points": np.column_stack((ps.xs, ps.ys)).tolist(),
         "edges": g.edge_array.tolist(),
-        "meta": {"epsilon": ps.eps, **(meta or {})},
+        "meta": {**(meta or {}), "epsilon": ps.eps},
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -169,6 +176,13 @@ class TestSvg:
         g = Graph(ps, ((0, 1),))
         svg = graph_to_svg(g, width=400, disk_edge=(0, 1))
         assert svg.count("<circle") == 4  # 3 vertices + the disk
+
+    def test_coordinates_at_the_real_bound(self):
+        lim = MAX_REAL_COORD
+        ps = PointSet.of([(-lim, -lim), (lim, lim), (lim, -lim)], 1e-9)
+        svg = graph_to_svg(Graph(ps, ((0, 1),)), width=100, disk_edge=(0, 1))
+        height = float(svg.split('height="')[1].split('"')[0])
+        assert math.isfinite(height) and "nan" not in svg and "inf" not in svg
 
     def test_y_axis_points_up(self):
         ps = PointSet.of([(0, 0), (0, 10)])

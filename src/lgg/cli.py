@@ -7,7 +7,8 @@ success, 1 on invariant violations (an invalid graph under ``verify`` or
 file that is not strictly monotonic for ``path``, too many points for
 ``extremal``), 2 on usage or parse errors, including files that cannot be
 opened or decoded, coordinates out of range (beyond 2**30 for integers,
-non-finite or beyond 2**256 for reals) and out-of-range construction flags.
+non-finite, beyond 2**256 or nonzero below 2**-384 for reals) and
+out-of-range construction flags.
 
 The ``scaling`` command runs grid builds for several sides, one after
 another, and emits a CSV with a trailing log-log fit line.

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -33,10 +33,11 @@ import numpy as np
 #: factor of a . b is at most 2**31 - 1, so |a . b| <= 2**63 - 2**31.
 MAX_EXACT_COORD = 2**30
 
-#: Real coordinates are bounded so that the predicates' squared distances
-#: stay clear of float64 overflow: differences are at most 2**257 per axis,
-#: so dot products and squared norms are at most 2**515.
-MAX_REAL_COORD = 2.0**256
+#: Nonzero real coordinates lie in these magnitudes, so that the predicates'
+#: products stay clear of float64 overflow and underflow (2**-1022): nonzero
+#: differences lie in [2**-436, 2**257] per axis (2**-436 is an ulp of
+#: 2**-384), so dot products and squared norms lie in [2**-872, 2**515].
+MIN_REAL_COORD, MAX_REAL_COORD = 2.0**-384, 2.0**256
 
 #: Default relative tolerance of real-coordinate points.
 DEFAULT_EPSILON = 1e-9
@@ -45,18 +46,9 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 
 
-class CoordinateKindError(TypeError):
-    """Raised when exact-integer and real points meet in one predicate."""
-
-
-def _dtype(values) -> type:
-    """int64 when every value is a Python int, float64 when every one is a float."""
-    kinds = set(map(type, values))
-    for dtype, base in ((np.int64, int), (np.float64, float)):
-        if all(issubclass(k, base) and k is not bool for k in kinds):
-            return dtype
-    names = sorted(k.__name__ for k in kinds)
-    raise CoordinateKindError(f"coordinates must be all int or all float, got {names}")
+class CoordinateKindError(TypeError, ValueError):
+    """A value of the wrong type (a float for an int, a bool, a str), or
+    exact-integer and real points in one predicate; bad input, so a ValueError."""
 
 
 def _in_range(xs, ys, eps: float, exact: bool):
@@ -69,10 +61,10 @@ def _in_range(xs, ys, eps: float, exact: bool):
         return ok, f"exact coordinate magnitude exceeds {lim}"
     if not 0.0 <= eps < math.inf:
         raise ValueError("eps must be finite and nonnegative")
+    lo, hi, ax, ay = MIN_REAL_COORD, MAX_REAL_COORD, abs(xs), abs(ys)
     # false for nan as well as for infinities
-    lim = MAX_REAL_COORD
-    ok = (abs(xs) <= lim) & (abs(ys) <= lim)
-    return ok, "non-finite coordinate or magnitude above 2**256"
+    ok = (ax <= hi) & (ay <= hi) & ((ax >= lo) | (xs == 0)) & ((ay >= lo) | (ys == 0))
+    return ok, "non-finite coordinate or nonzero magnitude outside [2**-384, 2**256]"
 
 
 @dataclass(frozen=True)
@@ -89,8 +81,12 @@ class Point:
     eps: float = 0.0
 
     def __post_init__(self) -> None:
-        exact = _dtype((self.x, self.y)) is np.int64
-        ok, problem = _in_range(self.x, self.y, self.eps, exact)
+        if (kinds := {type(self.x), type(self.y)}) not in ({int}, {float}):
+            names = sorted(k.__name__ for k in kinds)
+            raise CoordinateKindError(
+                f"coordinates must be all int or all float, got {names}"
+            )
+        ok, problem = _in_range(self.x, self.y, self.eps, int in kinds)
         if not ok:
             raise ValueError(f"{problem} ({self.x!r}, {self.y!r})")
 
@@ -137,10 +133,16 @@ class PointSet:
         object.__setattr__(self, "eps", eps)
 
     @classmethod
-    def of(cls, coords: Sequence[tuple], eps: float = 0.0) -> "PointSet":
-        """Points from (x, y) pairs of Python ints, or of Python floats."""
-        coords = list(coords)
-        xy = pair_array(coords, _dtype(chain.from_iterable(coords)), "point")
+    def of(cls, coords: list | tuple, eps: float = 0.0) -> "PointSet":
+        """Points from a list or tuple of (x, y) pairs of Python ints, or of floats.
+
+        The first value picks the kind; ``pair_array`` names any other.
+        """
+        try:
+            kind = float if isinstance(coords[0][0], float) else int
+        except (LookupError, TypeError):
+            kind = int  # not a list of pairs: pair_array names the fault
+        xy = pair_array(coords, (kind,), "point")
         return cls(xy[:, 0], xy[:, 1], eps)
 
     @cached_property
@@ -170,39 +172,50 @@ class PointSet:
         return self.xs.dtype == np.int64
 
 
-def pair_array(items, dtype, name: str) -> np.ndarray:
-    """Pairs as an (m, 2) ``dtype`` array; the first bad item is named.
+def pair_array(items, kinds: tuple, name: str) -> np.ndarray:
+    """Outside pairs as an (m, 2) array: int64, or float64 if a float is present.
 
-    A list or tuple of two-element lists or tuples is read in one
-    ``np.fromiter`` pass over its values; anything else by ``np.array``.
+    The library's one conversion of pairs from outside: point coordinates,
+    edge endpoints and the arrays of graph JSON.  ``items`` is a list or
+    tuple of two-element lists or tuples whose values have one of the exact
+    types ``kinds`` (a ``bool`` is not an ``int``), checked over the whole
+    list and read in one ``np.fromiter`` pass.  An integer (m, 2) ndarray
+    passes straight through as int64; any other ndarray is read as its
+    ``tolist()``.  When a check fails, the items are walked once and a
+    ``ValueError`` names the first bad one: not a pair, a value of another
+    type (``CoordinateKindError``) or out of range.
     """
-    pairs = isinstance(items, (list, tuple)) and set(map(type, items)) <= {list, tuple}
-    try:
-        if pairs and set(map(len, items)) <= {2}:
-            arr = np.fromiter(chain.from_iterable(items), dtype, 2 * len(items))
-            return arr.reshape(-1, 2)
-        arr = np.array(items, dtype=dtype)
-    except (OverflowError, TypeError, ValueError):
-        _name_bad_item(items, dtype, name)
-        raise
-    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
-        if arr.ndim:
-            _name_bad_item(items, dtype, name)
-        raise ValueError(f"each {name} must be a pair, got shape {arr.shape}")
-    return arr.reshape(-1, 2)
-
-
-def _name_bad_item(items, dtype, name: str) -> None:
-    """Raise for the first item that is not a pair or holds a value ``dtype`` cannot."""
+    if isinstance(items, np.ndarray):
+        whole = items.dtype.kind in "iu" and np.can_cast(items.dtype, np.int64)
+        if whole and items.ndim == 2 and items.shape[1] == 2:
+            return items.astype(np.int64, copy=False)
+        items = items.tolist()
+    # the walk's range test: float64 holds every int64, so until the checks
+    # pick a dtype, the walk flags only values that no dtype holds
+    dtype = np.float64
+    pairs = type(items) in (list, tuple) and set(map(type, items)) <= {list, tuple}
+    if pairs and set(map(len, items)) <= {2}:
+        found = set(map(type, chain.from_iterable(items)))
+        if found <= set(kinds):
+            dtype = np.float64 if float in found else np.int64
+            try:
+                arr = np.fromiter(chain.from_iterable(items), dtype, 2 * len(items))
+                return arr.reshape(-1, 2)
+            except OverflowError:
+                pass
+    if type(items) not in (list, tuple):
+        raise ValueError(f"{name}s: expected an array, got {items!r:.40}")
     for k, item in enumerate(items):
+        if type(item) not in (list, tuple) or len(item) != 2:
+            raise ValueError(f"{name} {k}: expected a pair, got {item!r:.40}")
+        if not set(map(type, item)) <= set(kinds):
+            names = " or ".join(t.__name__ for t in kinds)
+            got = f"expected {names}, got {item!r:.40}"
+            raise CoordinateKindError(f"{name} {k}: {got}")
         try:
-            pair = np.array(item, dtype=dtype)
-        except OverflowError as exc:
-            raise ValueError(f"{name} {k}: {tuple(item)} out of range") from exc
-        except ValueError:
-            pair = None
-        if pair is None or pair.shape != (2,):
-            raise ValueError(f"{name} {k}: expected a pair, got {item!r}")
+            np.fromiter(item, dtype, 2)
+        except OverflowError:
+            raise ValueError(f"{name} {k}: {tuple(item)} out of range") from None
 
 
 def outside_disk(ax, ay, bx, by, eps: float = 0.0):

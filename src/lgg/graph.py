@@ -51,7 +51,7 @@ class Graph:
     def __init__(self, points: PointSet, edges) -> None:
         n = len(points)
         try:
-            given = pair_array(edges, np.int64, "edge")
+            given = pair_array(edges, (int,), "edge")
         except ValueError as exc:
             raise GraphError(str(exc)) from exc
         a, b = given.T

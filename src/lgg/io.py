@@ -10,11 +10,14 @@ Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 canonical edge order, sorted keys, shortest round-trip numbers.
 
 The writer formats the coordinate and edge arrays straight into the text
-around ``json.dumps`` of ``meta``.  The JSON reader checks JSON types over
-whole arrays (arrays of two-element arrays, coordinates numbers, endpoints
-integers, never booleans) and walks the items only when a check fails, to
-name the first bad one; range and duplicate checks are left to ``PointSet``
-and ``Graph``.  The CSV reader checks each row as a ``Point`` so that a bad
+around ``json.dumps`` of ``meta``.  The JSON reader turns each of the two
+arrays into an array with one ``geometry.pair_array`` call, the library's
+one conversion of outside pairs: arrays of two-element arrays, coordinates
+ints or floats, endpoints ints, never booleans, each checked over the whole
+array, with the items walked only when a check fails, to name the first
+bad one.  ``Graph`` takes the int64 edge array as it is, so no list is
+scanned twice; range and duplicate checks are left to ``PointSet`` and
+``Graph``.  The CSV reader checks each row as a ``Point`` so that a bad
 value names its line.  Every malformed input raises ``FormatError`` naming
 the file and the line, point, edge or array at fault.
 """
@@ -24,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -34,23 +36,6 @@ from .graph import Graph
 
 class FormatError(ValueError):
     """Unparseable points or graph file."""
-
-
-def _json_pairs(items, types: tuple, name: str) -> set:
-    """The value types of ``items``, an array of [a, b] arrays of ``types``."""
-    if type(items) is not list:
-        raise FormatError(f"{name}s: expected an array, got {items!r:.40}")
-    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
-        if (kinds := set(map(type, chain.from_iterable(items)))).issubset(types):
-            return kinds
-    for k, item in enumerate(items):  # a check failed: name the first bad item
-        if type(item) is not list or len(item) != 2:
-            got = f"got {item!r:.40}"
-            raise FormatError(f"{name} {k}: expected a two-element array, {got}")
-        if not set(map(type, item)).issubset(types):
-            break
-    names = " or ".join(t.__name__ for t in types)
-    raise FormatError(f"{name} {k}: expected {names}, got {item!r}")
 
 
 def _build(make, *args):
@@ -127,11 +112,10 @@ def graph_from_json(text: str) -> Graph:
             )
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
-    real = float in _json_pairs(raw_pts, (int, float), "point")
-    xy = _build(pair_array, raw_pts, np.float64 if real else np.int64, "point")
+    xy = _build(pair_array, raw_pts, (int, float), "point")
+    real = xy.dtype == np.float64  # a float anywhere makes the set real
     ps = _build(PointSet, xy[:, 0], xy[:, 1], float(eps) if real else 0.0)
-    _json_pairs(raw_edges, (int,), "edge")
-    return _build(Graph, ps, raw_edges)
+    return _build(Graph, ps, _build(pair_array, raw_edges, (int,), "edge"))
 
 
 def save_graph(g: Graph, path: str, meta: dict | None = None) -> None:

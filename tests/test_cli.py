@@ -276,6 +276,8 @@ class TestUsage:
                  ["verify"]),
                 ("huge-real-point", '{"points": [[0.0, 0.0], [1e300, 1.0]],'
                  ' "edges": []}', ["verify"]),
+                ("tiny-real-point", '{"points": [[0.0, 0.0], [1e-170, 1.0]],'
+                 ' "edges": []}', ["verify"]),
             ]),
         ],
     )
@@ -308,9 +310,10 @@ NAMED = {
     "negative-zero-duplicate": "point 1",
     "object-points": "points: expected an array",
     "string-edges": "edges: expected an array",
-    "triple-edge": "edge 0: expected a two-element array",
-    "scalar-edge": "edge 0: expected a two-element array",
+    "triple-edge": "edge 0: expected a pair",
+    "scalar-edge": "edge 0: expected a pair",
     "huge-real-point": "point 1: non-finite",
+    "tiny-real-point": "point 1: non-finite",
 }
 
 

@@ -14,6 +14,7 @@ from lgg.geometry import (
     INTERIOR,
     MAX_EXACT_COORD,
     MAX_REAL_COORD,
+    MIN_REAL_COORD,
     ConvexKind,
     CoordinateKindError,
     Point,
@@ -44,7 +45,10 @@ class TestPoint:
         with pytest.raises(ValueError):
             Point(MAX_EXACT_COORD + 1, 0)
         Point(MAX_REAL_COORD, -MAX_REAL_COORD, 1e-9)
-        for x, y in ((2 * MAX_REAL_COORD, 0.0), (0.0, -1e300)):
+        Point(MIN_REAL_COORD, -MIN_REAL_COORD, 1e-9)
+        Point(0.0, -0.0, 1e-9)
+        for x, y in ((2 * MAX_REAL_COORD, 0.0), (0.0, -1e300),
+                     (MIN_REAL_COORD / 2, 1.0), (1.0, -5e-324)):
             with pytest.raises(ValueError, match="non-finite"):
                 Point(x, y)
 

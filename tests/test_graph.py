@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_int_points, strictly_monotonic_set
-from lgg.geometry import BOUNDARY, INTERIOR, MAX_REAL_COORD, PointSet, in_closed_disk
+from lgg.geometry import (
+    BOUNDARY,
+    INTERIOR,
+    MAX_REAL_COORD,
+    MIN_REAL_COORD,
+    PointSet,
+    in_closed_disk,
+)
 from lgg.graph import (
     Graph,
     GraphError,
@@ -49,7 +56,7 @@ class TestGraph:
             Graph(ps, ((0, 1, 2), (1, 2, 3)))
         with pytest.raises(GraphError, match=r"edge 1: expected a pair, got 5"):
             Graph(ps, [(0, 1), 5])
-        with pytest.raises(GraphError, match=r"each edge must be a pair, got shape \(\)"):
+        with pytest.raises(GraphError, match=r"edges: expected an array, got 5"):
             Graph(ps, 5)
         with pytest.raises(GraphError, match="edge 1: .* out of range"):
             Graph(ps, ((0, 1), (1, 10**30)))
@@ -205,6 +212,19 @@ class TestVerify:
         assert verify(g).valid and verify(g) == verify_direct(g)
         with pytest.raises(ValueError, match="point 1: non-finite"):
             PointSet.of([(0.0, 0.0), (2 * s, 0.0), (0.0, 2 * s)], 1e-9)
+
+    def test_real_coordinates_at_the_floor(self):
+        # the same right angle: below 2**-384 the disk test's products
+        # underflowed to zero, so it read as a boundary conflict (at 1e-170
+        # and 2**-600); such points are refused, and zero of either sign is not
+        assert MIN_REAL_COORD == 2.0**-384
+        for s in (MIN_REAL_COORD, 2.0**-256, 1e-100):
+            ps = PointSet.of([(0.0, -0.0), (s, 0.0), (-0.0, s)], 1e-9)
+            g = Graph(ps, ((0, 1), (0, 2)))
+            assert verify(g).valid and verify(g) == verify_direct(g)
+        for s in (MIN_REAL_COORD / 2, 1e-170, 2.0**-600, 5e-324):
+            with pytest.raises(ValueError, match="point 1: non-finite"):
+                PointSet.of([(0.0, 0.0), (s, 0.0), (0.0, s)], 1e-9)
 
     def test_deleting_edges_preserves_validity(self):
         rng = random.Random(99)

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_int_points
-from lgg.geometry import MAX_EXACT_COORD, MAX_REAL_COORD, PointSet, pair_array
-from lgg.graph import Graph, random_maximal_lgg
+from lgg.geometry import (
+    MAX_EXACT_COORD,
+    MAX_REAL_COORD,
+    MIN_REAL_COORD,
+    PointSet,
+    pair_array,
+)
+from lgg.graph import Graph, GraphError, random_maximal_lgg
 from lgg.io import (
     FormatError,
     graph_from_json,
@@ -119,7 +125,8 @@ def _int_graphs():
 
 
 def _real_graphs():
-    odd = [(-0.0, 5e-324), (1e16, 1 / 3), (-1e16, -5e-324), (0.1, 2.5), (-1.5, 1e-300)]
+    tiny = MIN_REAL_COORD
+    odd = [(-0.0, tiny), (1e16, 1 / 3), (-1e16, -tiny), (0.1, 2.5), (-1.5, 1e-100)]
     ps = PointSet.of(odd, 1e-9)
     yield "odd-floats", Graph(ps, [(0, 1), (0, 3), (2, 4), (1, 4)])
     lattice = [(i * 0.1, j * 0.1) for i in range(-4, 5) for j in range(5)]
@@ -154,12 +161,80 @@ class TestWriterParity:
 class TestPairArray:
     @pytest.mark.parametrize("items, message", [
         ([(0, 1), (1, 2**63)], r"edge 1: \(1, 9223372036854775808\) out of range"),
-        ([[0, 1], [1e300, 1]], r"edge 1: \(1e\+300, 1\) out of range"),
-        ([[0, 1], [math.nan, 1]], r"edge 1: expected a pair, got \[nan, 1\]"),
+        ([[0, 1], [1e300, 1]], r"edge 1: expected int, got \[1e\+300, 1\]"),
+        ([[0, 1], [math.nan, 1]], r"edge 1: expected int, got \[nan, 1\]"),
     ])
     def test_int64_overflow_named(self, items, message):
         with pytest.raises(ValueError, match=message):
-            pair_array(items, np.int64, "edge")
+            pair_array(items, (int,), "edge")
+
+    def test_integer_array_passes_straight_through(self):
+        edges = np.array([[0, 1], [1, 2]])
+        assert pair_array(edges, (int,), "edge") is edges
+
+
+#: malformed pair lists, each bad item after one good pair: (id, items, the
+#: error's text, and whether the points readers take the item as a real pair)
+KIND = "{name} 1: expected {kinds}, got "
+BAD_PAIRS = [
+    ("non-array", "01", "{name}s: expected an array, got '01'", False),
+    ("triple", [[0, 1], [0, 1, 1]], "{name} 1: expected a pair, got [0, 1, 1]", False),
+    ("scalar", [[0, 1], 5], "{name} 1: expected a pair, got 5", False),
+    ("float", [[0, 1], [0.9, 1]], KIND + "[0.9, 1]", True),
+    ("bool", [[0, 1], [False, True]], KIND + "[False, True]", False),
+    ("str", [[0, 1], ["2", 1]], KIND + "['2', 1]", False),
+    ("2**63", [[0, 1], [1, 2**63]], "{name} 1: (1, 9223372036854775808) out of range",
+     False),
+    ("1e300", [[0, 1], [1, 1e300]], KIND + "[1, 1e+300]", True),
+    ("nan", [[0, 1], [1, math.nan]], KIND + "[1, nan]", True),
+]
+
+
+def _error(error, make, *args) -> str:
+    with pytest.raises(error) as exc:
+        make(*args)
+    return str(exc.value)
+
+
+class TestOutsidePairs:
+    """Every entry point names a malformed pair list in the same words."""
+
+    @pytest.mark.parametrize("items, message", [case[1:3] for case in BAD_PAIRS],
+                             ids=[case[0] for case in BAD_PAIRS])
+    def test_edges(self, items, message):
+        ps = PointSet.of([(0, 0), (1, 1), (2, 3)])
+        text = json.dumps({"points": [[0, 0], [1, 1], [2, 3]], "edges": items})
+        want = message.format(name="edge", kinds="int")
+        assert _error(GraphError, Graph, ps, items) == want
+        assert _error(FormatError, graph_from_json, text) == want
+        assert _error(ValueError, pair_array, items, (int,), "edge") == want
+
+    @pytest.mark.parametrize("items, message",
+                             [case[1:3] for case in BAD_PAIRS if not case[3]],
+                             ids=[case[0] for case in BAD_PAIRS if not case[3]])
+    def test_points(self, items, message):
+        text = json.dumps({"points": items, "edges": []})
+        want = message.format(name="point", kinds="int")
+        assert _error(ValueError, PointSet.of, items) == want
+        want = message.format(name="point", kinds="int or float")
+        assert _error(FormatError, graph_from_json, text) == want
+
+    def test_graph_takes_python_ints_and_integer_arrays(self):
+        ps = PointSet.of([(0, 0), (1, 1), (2, 3)])
+        g = Graph(ps, [[2, 1], [0, 2]])
+        assert g.edges == ((0, 2), (1, 2))
+        for dtype in (np.int64, np.int32, np.uint32):
+            assert Graph(ps, np.array([[2, 1], [0, 2]], dtype)) == g
+        rejected = [
+            ([[0.9, 1]], "[0.9, 1]"),
+            ([[True, False]], "[True, False]"),
+            ([["1", 2]], "['1', 2]"),
+            (np.array([[0.9, 1.0]]), "[0.9, 1.0]"),
+            (np.array([[True, False]]), "[True, False]"),
+        ]
+        for edges, got in rejected:
+            want = f"edge 0: expected int, got {got}"
+            assert _error(GraphError, Graph, ps, edges) == want
 
 
 class TestSvg:

@@ -5,10 +5,11 @@ Subcommands: ``construct grid|path|fan|cycle|ladder``, ``verify``,
 success, 1 on invariant violations (an invalid graph under ``verify`` or
 ``indepset``, a built graph or witness that fails verification, a points
 file that is not strictly monotonic for ``path``, too many points for
-``extremal``), 2 on usage or parse errors, including files that cannot be
-opened or decoded, coordinates out of range (beyond 2**30 for integers,
-non-finite, beyond 2**256 or nonzero below 2**-384 for reals) and
-out-of-range construction flags.
+``extremal``) and on running out of memory, 2 on usage or parse errors,
+including files that cannot be opened or decoded, coordinates out of range
+(beyond 2**30 for integers, non-finite, beyond 2**256 or nonzero below
+2**-384 for reals) and out-of-range construction flags (``--side`` above
+``grid.MAX_SIDE`` among them).
 
 The ``scaling`` command runs grid builds for several sides, one after
 another, and emits a CSV with a trailing log-log fit line.
@@ -174,9 +175,9 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     if len(sides) < 2:
         raise io.FormatError("scaling needs at least two grid sides")
     rows = []
-    for side in sides:
-        g, stats = grid.build(_grid_params(side, args))
-        rows.append((side, ScalingSample(g.n, stats.total_edges)))
+    for params in [_grid_params(side, args) for side in sides]:  # all checked first
+        g, stats = grid.build(params)
+        rows.append((params.g, ScalingSample(g.n, stats.total_edges)))
     fit = fit_exponent([sample for _, sample in rows])
     lines = ["g,n,edges,edges_per_n"]
     for side, s in rows:
@@ -289,6 +290,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (InvariantViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

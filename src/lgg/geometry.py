@@ -14,6 +14,9 @@ closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``;
 a locally Gabriel graph iff each of q, r lies outside the other's disk;
 ``conflict_free`` is the one pair rule, which the verifier, the grid walk,
 the extremal conflict graph and ``conflict_kind`` all decide with.
+
+``classify`` names the paper's point classes in O(n log n) with one formula
+per class: exact for integer points, banded for real points.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Iterator
@@ -314,11 +316,12 @@ class ConvexKind(Enum):
     NON_CONVEX = "NonConvex"
 
 
-_MONOTONIC_KINDS = {
-    ConvexKind.UPPER_RIGHT_MONOTONIC,
-    ConvexKind.UPPER_LEFT_MONOTONIC,
-    ConvexKind.LOWER_RIGHT_MONOTONIC,
-    ConvexKind.LOWER_LEFT_MONOTONIC,
+#: The (x, y) sign of every step of a monotonic sequence, per kind.
+_STEP_SIGNS = {
+    ConvexKind.UPPER_RIGHT_MONOTONIC: (1, -1),
+    ConvexKind.UPPER_LEFT_MONOTONIC: (-1, -1),
+    ConvexKind.LOWER_RIGHT_MONOTONIC: (1, 1),
+    ConvexKind.LOWER_LEFT_MONOTONIC: (-1, 1),
 }
 
 
@@ -329,7 +332,7 @@ class ConvexClass:
 
     @property
     def is_monotonic(self) -> bool:
-        return self.kind in _MONOTONIC_KINDS
+        return self.kind in _STEP_SIGNS
 
 
 def _cross(o, a, b):
@@ -354,108 +357,58 @@ def _hull_chains(pts: list[tuple]) -> tuple[list[tuple], list[tuple]]:
     return chain(pts), chain(reversed(pts))[::-1]
 
 
-def _monotone_flags(vals: list) -> tuple[bool, bool, bool, bool]:
-    """(non-decreasing, strictly increasing, non-increasing, strictly decreasing)."""
-    nondec = all(a <= b for a, b in zip(vals, vals[1:]))
-    inc = all(a < b for a, b in zip(vals, vals[1:]))
-    noninc = all(a >= b for a, b in zip(vals, vals[1:]))
-    dec = all(a > b for a, b in zip(vals, vals[1:]))
-    return nondec, inc, noninc, dec
-
-
 def _classify_monotonic(ps: PointSet) -> ConvexClass | None:
     """Monotonic kind read off the given sequence order, or None.
 
     The kind depends on the traversal direction: x non-decreasing with y
     non-increasing is upper-right, and reflections permute the kinds
-    accordingly (x-axis swaps upper/lower, y-axis swaps right/left).
+    accordingly (x-axis swaps upper/lower, y-axis swaps right/left).  A
+    kind holds when no step's signs oppose its ``_STEP_SIGNS`` entry, and
+    strictly when they all equal it (float differences are exact in sign).
     """
-    x_nondec, x_inc, x_noninc, x_dec = _monotone_flags(ps.xs.tolist())
-    y_nondec, y_inc, y_noninc, y_dec = _monotone_flags(ps.ys.tolist())
-    table = [
-        (x_nondec and y_noninc, x_inc and y_dec, ConvexKind.UPPER_RIGHT_MONOTONIC),
-        (x_noninc and y_noninc, x_dec and y_dec, ConvexKind.UPPER_LEFT_MONOTONIC),
-        (x_nondec and y_nondec, x_inc and y_inc, ConvexKind.LOWER_RIGHT_MONOTONIC),
-        (x_noninc and y_nondec, x_dec and y_inc, ConvexKind.LOWER_LEFT_MONOTONIC),
-    ]
+    steps = np.sign(np.diff([ps.xs, ps.ys]))
+    signs = np.array(list(_STEP_SIGNS.values()))[:, :, None]
     # Prefer a strictly satisfied kind over a weakly satisfied earlier one.
-    for weak, strict, kind in table:
-        if strict:
-            return ConvexClass(kind, True)
-    for weak, strict, kind in table:
-        if weak:
-            return ConvexClass(kind, False)
+    for holds, strict in ((steps == signs, True), (steps != -signs, False)):
+        if (kinds := holds.all(axis=(1, 2))).any():
+            return ConvexClass(list(_STEP_SIGNS)[int(kinds.argmax())], strict)
     return None
 
 
 def _classify_half(lower: list[tuple], upper: list[tuple]) -> ConvexClass | None:
-    """Right or left half-convex class of strictly convex hull chains, or None."""
+    """Right (the upper chain descends, the lower one ascends) or left (the
+    reverse) half-convex class of strictly convex hull chains, or None."""
     # the shared end points count as lower-chain points, except the top of
     # a vertical right edge
     up, low = upper[1:-1], lower
     if lower[-2][0] == lower[-1][0]:
         up, low = upper[1:], lower[:-1]
-    u_nondec, u_inc, u_noninc, u_dec = _monotone_flags([c[1] for c in up])
-    l_nondec, l_inc, l_noninc, l_dec = _monotone_flags([c[1] for c in low])
-    if u_noninc and l_nondec:
-        return ConvexClass(ConvexKind.RIGHT_HALF_CONVEX, u_dec and l_inc)
-    if u_nondec and l_noninc:
-        return ConvexClass(ConvexKind.LEFT_HALF_CONVEX, u_inc and l_dec)
+    # the upper chain's y steps and the lower one's, negated
+    steps = np.r_[np.diff([p[1] for p in up]), -np.diff([p[1] for p in low])]
+    if (steps <= 0).all():
+        return ConvexClass(ConvexKind.RIGHT_HALF_CONVEX, bool((steps < 0).all()))
+    if (steps >= 0).all():
+        return ConvexClass(ConvexKind.LEFT_HALF_CONVEX, bool((steps > 0).all()))
     return None
 
 
-def _is_centrally_symmetric(ps: PointSet) -> bool:
-    n = len(ps)
-    if n % 2 != 0:
-        return False
-    xs, ys = ps.xs.tolist(), ps.ys.tolist()
-    pts = list(zip(xs, ys))
-    if ps.is_exact:
-        cx2, cy2 = Fraction(2 * sum(xs), n), Fraction(2 * sum(ys), n)
-        have = {(Fraction(x), Fraction(y)) for x, y in pts}
-        return all((cx2 - x, cy2 - y) in have for x, y in pts)
-    cx2, cy2 = 2.0 * sum(xs) / n, 2.0 * sum(ys) / n
-    scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
-    tol = max(ps.eps, 1e-12) * 4.0 * scale
-    for x, y in pts:
-        mx, my = cx2 - x, cy2 - y
-        if not any(abs(mx - qx) <= tol and abs(my - qy) <= tol for qx, qy in pts):
-            return False
-    return True
-
-
-def _circumcenter(a, b, c):
-    """Circumcenter of three non-collinear points; exact for Fractions."""
-    d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if d == 0:
-        return None
-    a2 = a[0] * a[0] + a[1] * a[1]
-    b2 = b[0] * b[0] + b[1] * b[1]
-    c2 = c[0] * c[0] + c[1] * c[1]
-    ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-    uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    return ux, uy
-
-
-def _on_common_circle(ps: PointSet) -> bool:
-    if len(ps) <= 2:
-        return True
-    coords = list(zip(ps.xs.tolist(), ps.ys.tolist()))
-    if ps.is_exact:
-        coords = [(Fraction(x), Fraction(y)) for x, y in coords]
-    a = coords[0]
-    for i in range(1, len(coords) - 1):
-        center = _circumcenter(a, coords[i], coords[i + 1])
-        if center is not None:
+def _cocircular(pts: list[tuple], band) -> bool:
+    """Whether every point satisfies ``(D x - Ux)^2 + (D y - Uy)^2 = r^2 D^2``
+    within the relative band ``8 * band``: the circle through the first
+    turning triple ``pts[0], pts[i], pts[i + 1]``, ``D = 2 cross``, centre U / D."""
+    a = pts[0]
+    for b, c in zip(pts[1:], pts[2:]):
+        if d := 2 * _cross(a, b, c):
             break
-    if center is None:
+    else:
         return False  # all collinear
-    cx, cy = center
-    r2 = (a[0] - cx) ** 2 + (a[1] - cy) ** 2
-    if ps.is_exact:
-        return all((x - cx) ** 2 + (y - cy) ** 2 == r2 for x, y in coords)
-    tol = max(ps.eps, 1e-12) * 8.0 * float(r2)
-    return all(abs((x - cx) ** 2 + (y - cy) ** 2 - r2) <= tol for x, y in coords)
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)
+    uy = a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)
+    r2 = (d * ax - ux) ** 2 + (d * ay - uy) ** 2
+    tol = 8 * band * r2
+    return all(abs((d * x - ux) ** 2 + (d * y - uy) ** 2 - r2) <= tol for x, y in pts)
 
 
 def classify(ps: PointSet) -> ConvexClass:
@@ -471,20 +424,35 @@ def classify(ps: PointSet) -> ConvexClass:
     mono = _classify_monotonic(ps)
     if mono is not None:
         return mono
-    lower, upper = _hull_chains(list(zip(ps.xs.tolist(), ps.ys.tolist())))
-    if len(set(lower + upper)) < len(ps):  # a point strictly inside the hull
+    n, xs, ys = len(ps), ps.xs.tolist(), ps.ys.tolist()
+    lower, upper = _hull_chains(list(zip(xs, ys)))
+    # counter-clockwise from the lowest leftmost point; a collinear set runs
+    # out and back (2n - 2 points), which pairs opposite points all the same
+    cycle = lower + upper[-2:0:-1]
+    if len(set(cycle)) < n:  # a point strictly inside the hull
         return ConvexClass(ConvexKind.NON_CONVEX, False)
     # strict: no point lies inside a hull edge
     conv_strict = all(_cross(a, b, c) != 0 for ch in (lower, upper)
                       for a, b, c in zip(ch, ch[1:], ch[2:]))
-    if conv_strict:
-        # Collinear triples degenerate the hull chains; such sets fall
-        # through to the order-insensitive classes below.
-        half = _classify_half(lower, upper)
-        if half is not None:
-            return half
-    if _is_centrally_symmetric(ps):
+    # Collinear triples degenerate the hull chains; such sets fall through
+    # to the order-insensitive classes below.
+    if conv_strict and (half := _classify_half(lower, upper)):
+        return half
+    # exact for integer points (band 0); real points pass within a band
+    # relative to their largest magnitude
+    band = 0 if ps.is_exact else max(ps.eps, 1e-12)
+    scale = max(map(abs, xs + ys)) or 1
+    # each point of the cycle and the one half a cycle later sum to twice the
+    # centroid; an odd set is never symmetric, though a collinear one pairs up
+    h, tol, sx, sy = len(cycle) // 2, n * 4 * band * scale, sum(xs), sum(ys)
+    if n % 2 == 0 and all(
+        abs(n * (px + qx) - 2 * sx) <= tol and abs(n * (py + qy) - 2 * sy) <= tol
+        for (px, py), (qx, qy) in zip(cycle[:h], cycle[h:])
+    ):
         return ConvexClass(ConvexKind.CENTRALLY_SYMMETRIC_CONVEX, conv_strict)
-    if _on_common_circle(ps):
+    # scaling real points by a power of two is exact, and keeps the circle
+    # test's degree-six terms inside float64 range
+    unit = 1 if ps.is_exact else 2.0 ** -math.frexp(scale)[1]
+    if _cocircular([(x * unit, y * unit) for x, y in zip(xs, ys)], band):
         return ConvexClass(ConvexKind.ON_COMMON_CIRCLE, conv_strict)
     return ConvexClass(ConvexKind.GENERAL_CONVEX, conv_strict)

@@ -201,7 +201,7 @@ def _candidate_keys(seed: int, count: int) -> np.ndarray:
 _SCAN_CHUNK = 256
 
 
-def _insert(xs, ys, eps: float, us, vs) -> list[tuple[int, int]]:
+def _insert(xs, ys, eps: float, us, vs) -> np.ndarray:
     """Greedy conflict-free insertion of the candidates (us[t], vs[t]) in order.
 
     ``alive[a, b]`` holds while the edge (a, b) conflicts with no edge
@@ -209,6 +209,7 @@ def _insert(xs, ys, eps: float, us, vs) -> list[tuple[int, int]]:
     stays dead and a candidate (u, v) is inserted iff ``alive[u, v]`` and
     ``alive[v, u]``.  Candidates are scanned in chunks; after each insertion
     rows u and v are narrowed with one vectorised predicate over all points.
+    Returns the inserted candidates, in order, as an int64 (m, 2) array.
     """
     n = xs.shape[0]
     alive = np.ones((n, n), dtype=bool)
@@ -216,7 +217,7 @@ def _insert(xs, ys, eps: float, us, vs) -> list[tuple[int, int]]:
     fwd = us * n + vs
     bwd = vs * n + us
     total = fwd.shape[0]
-    edges: list[tuple[int, int]] = []
+    taken: list[int] = []
     t = 0
     while t < total:
         stop = t + _SCAN_CHUNK
@@ -227,7 +228,7 @@ def _insert(xs, ys, eps: float, us, vs) -> list[tuple[int, int]]:
             continue
         t += k
         u, v = int(us[t]), int(vs[t])
-        edges.append((u, v))
+        taken.append(t)
         # the edge uv kills (u, b) unless b is outside the disk on uv
         # (vectors b - u, b - v) and v is outside the disk on ub (u - v,
         # b - v); likewise (v, b) with u and v swapped.  Negation is exact,
@@ -241,7 +242,7 @@ def _insert(xs, ys, eps: float, us, vs) -> list[tuple[int, int]]:
         alive[u] &= outside & outside_disk(ex, ey, dxv, dyv, eps)
         alive[v] &= outside & outside_disk(-ex, -ey, dxu, dyu, eps)
         t += 1
-    return edges
+    return np.column_stack((us[taken], vs[taken]))
 
 
 def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:

@@ -28,6 +28,11 @@ from .geometry import PointSet, conflict_free
 from .graph import Graph, checked
 
 
+#: The largest grid side g with g**4 < 2**63, so that the int64 edge keys
+#: i * n + j of ``build`` (n = g * g) cannot wrap.
+MAX_SIDE = 55108
+
+
 class Mode(Enum):
     GREEDY_FEASIBLE = "greedy"
     ANALYSIS_GUIDED = "analysis"
@@ -45,6 +50,8 @@ class GridParams:
     def __post_init__(self) -> None:
         if self.g < 9:
             raise ValueError("grid side must be at least 9")
+        if self.g > MAX_SIDE:
+            raise ValueError(f"grid side must be at most {MAX_SIDE}")
         if not 0.0 < self.theta0 < math.pi / 4:
             raise ValueError("theta0 must lie in (0, pi/4)")
         if not 1.0 < self.c1 < math.inf:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lgg.graph
+import lgg.grid
 from lgg.cli import FitError, ScalingSample, fit_exponent, main
 from lgg.io import load_graph
 
@@ -155,6 +156,29 @@ class TestScaling:
     def test_single_side_exits_2(self, tmp_path):
         assert run(["scaling", "--sides", "12"]) == 2
 
+    def test_huge_side_exits_2_before_any_build(self, capsys, monkeypatch):
+        # every side is checked before the first build, which would fail here
+        monkeypatch.setattr(lgg.grid, "build", None)
+        assert run(["scaling", "--sides", "30,1000000"]) == 2
+        assert "--side 1000000" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """A MemoryError exits 1 with one error line; nothing is really allocated."""
+
+    @pytest.mark.parametrize("args, message, err", [
+        (["construct", "grid", "--side", "30"], "Unable to allocate 7.28 TiB",
+         "error: out of memory: Unable to allocate 7.28 TiB\n"),
+        (["scaling", "--sides", "30,60"], "", "error: out of memory\n"),
+    ])
+    def test_exits_1(self, capsys, monkeypatch, args, message, err):
+        def build(params):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(lgg.grid, "build", build)
+        assert run(args) == 1
+        assert capsys.readouterr() == ("", err)
+
 
 class TestEmitSvg:
     def test_svg_output(self, tmp_path):
@@ -179,9 +203,10 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_import_loads_no_scipy(self):
-        # scipy would raise the resident memory of every run from 29 to 77 MB
+        # scipy would raise the resident memory of every run from 29 to 77 MB,
+        # and fractions costs about 5 ms of the import
         script = "import sys, lgg, lgg.cli; print(sorted(m for m in sys.modules" \
-                 " if m.split('.')[0] == 'scipy'))"
+                 " if m.split('.')[0] in ('scipy', 'fractions')))"
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", script],
@@ -278,6 +303,7 @@ class TestUsage:
                  ' "edges": []}', ["verify"]),
                 ("tiny-real-point", '{"points": [[0.0, 0.0], [1e-170, 1.0]],'
                  ' "edges": []}', ["verify"]),
+                ("grid-side-huge", None, ["construct", "grid", "--side", "1000000"]),
             ]),
         ],
     )

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import centrally_symmetric_convex_set, random_int_points
+from lgg.convex import circle_cycle
 from lgg.geometry import (
     BOUNDARY,
     INTERIOR,
     MAX_EXACT_COORD,
     MAX_REAL_COORD,
     MIN_REAL_COORD,
+    ConvexClass,
     ConvexKind,
     CoordinateKindError,
     Point,
@@ -289,6 +292,13 @@ class TestClassify:
             ([(0, 0), (2, 2), (1, 2), (0, 2), (2, 0)], ConvexKind.GENERAL_CONVEX, False),
             ([(1, 0), (0, 2), (2, 1), (0, 1), (0, 0)], ConvexKind.GENERAL_CONVEX, False),
             ([(1, 1), (3, 0), (3, 2), (3, 1), (0, 0)], ConvexKind.GENERAL_CONVEX, False),
+            # collinear out of order: an odd set is never centrally symmetric
+            ([(1, 0), (0, 0), (2, 0)], ConvexKind.GENERAL_CONVEX, False),
+            (
+                [(1, 0), (0, 0), (3, 0), (2, 0)],
+                ConvexKind.CENTRALLY_SYMMETRIC_CONVEX,
+                False,
+            ),
         ],
     )
     def test_examples(self, coords, kind, strict):
@@ -352,8 +362,6 @@ class TestClassify:
     def test_generated_centrally_symmetric_sets(self):
         # thin symmetric polygons can additionally be half convex, and the
         # half classes take priority; symmetry itself must always hold
-        from lgg.geometry import _is_centrally_symmetric
-
         rng = random.Random(17)
         allowed = {
             ConvexKind.CENTRALLY_SYMMETRIC_CONVEX,
@@ -365,9 +373,70 @@ class TestClassify:
             ps = centrally_symmetric_convex_set(rng, rng.choice([4, 6, 8, 10]))
             got = classify(ps)
             assert got.kind in allowed
-            assert _is_centrally_symmetric(ps)
+            # the reflection about the centroid maps the set onto itself
+            n, sx, sy = len(ps), int(ps.xs.sum()), int(ps.ys.sum())
+            pts = set(zip(ps.xs.tolist(), ps.ys.tolist()))
+            assert {(2 * sx - n * x, 2 * sy - n * y) for x, y in pts} == {
+                (n * x, n * y) for x, y in pts
+            }
             seen.add(got.kind)
         assert ConvexKind.CENTRALLY_SYMMETRIC_CONVEX in seen
+
+    def test_translation_and_point_reflection_invariance(self):
+        rng = random.Random(23)
+        r = 1105  # 5 * 13 * 17: 108 integer points lie on this circle
+        roots = ((x, math.isqrt(r * r - x * x)) for x in range(-r, r + 1))
+        circle = sorted({(x, s * y) for x, y in roots if x * x + y * y == r * r
+                         for s in (1, -1)})
+        kept = {
+            ConvexKind.CENTRALLY_SYMMETRIC_CONVEX,
+            ConvexKind.ON_COMMON_CIRCLE,
+            ConvexKind.GENERAL_CONVEX,
+            ConvexKind.NON_CONVEX,
+        }
+        half = {ConvexKind.RIGHT_HALF_CONVEX, ConvexKind.LEFT_HALF_CONVEX}
+        seen, halves = set(), 0
+        for k in range(400):
+            if k % 3 == 0:
+                pts = rng.sample(circle, rng.randint(3, 12))
+            elif k % 3 == 1:
+                ps = centrally_symmetric_convex_set(rng, rng.choice([4, 6, 8, 10]))
+                pts = list(zip(ps.xs.tolist(), ps.ys.tolist()))
+                if rng.random() < 0.5:
+                    pts[0] = (pts[0][0] + 1, pts[0][1])
+            else:
+                side = rng.randint(2, 6)
+                pts = rng.sample([(x, y) for x in range(side) for y in range(side)],
+                                 rng.randint(3, min(10, side * side)))
+            rng.shuffle(pts)
+            base = classify(PointSet.of(pts))
+            if base.kind not in kept:
+                continue
+            seen.add(base.kind)
+            tx, ty = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            moved = classify(PointSet.of([(x + tx, y + ty) for x, y in pts]))
+            assert moved == base, pts
+            # the half classes count both chain ends as lower-chain points,
+            # so a reflection can make a set half convex; nothing else changes
+            turned = classify(PointSet.of([(-x, -y) for x, y in pts]))
+            assert turned == base or turned.kind in half, pts
+            halves += turned != base
+        assert seen == kept and 0 < halves < 50
+
+    def test_cycle_of_10000_points_within_budget(self):
+        ps = circle_cycle(10000).points
+        start = time.perf_counter()
+        got = classify(ps)
+        assert time.perf_counter() - start < 2.0
+        assert got == ConvexClass(ConvexKind.CENTRALLY_SYMMETRIC_CONVEX, True)
+
+    def test_extreme_radius_cycles_stay_cocircular(self):
+        # the circle test's degree-six terms would leave float64 range here
+        for radius in (2.0**200, 2.0**-200):
+            for n, kind in ((9, ConvexKind.ON_COMMON_CIRCLE),
+                            (10, ConvexKind.CENTRALLY_SYMMETRIC_CONVEX)):
+                got = classify(circle_cycle(n, radius).points)
+                assert got == ConvexClass(kind, True)
 
     def test_single_point_and_pair(self):
         assert classify(PointSet.of([(0, 0)])).is_monotonic

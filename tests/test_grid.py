@@ -7,6 +7,7 @@ import pytest
 
 from lgg.graph import verify
 from lgg.grid import (
+    MAX_SIDE,
     GridBuildStats,
     GridParams,
     Mode,
@@ -39,6 +40,14 @@ class TestParams:
             GridParams(g=30, theta0=0.0)
         with pytest.raises(TypeError):  # s is always floor(g / 3)
             GridParams(g=30, s=5)
+
+    def test_side_keeps_edge_keys_in_int64(self):
+        # build's edge keys i * n + j stay below n**2 = g**4 < 2**63
+        assert MAX_SIDE**4 < 2**63 <= (MAX_SIDE + 1) ** 4
+        assert GridParams(g=MAX_SIDE).g == MAX_SIDE  # no allocation here
+        for g in (MAX_SIDE + 1, 3_000_000_000):
+            with pytest.raises(ValueError, match=f"at most {MAX_SIDE}"):
+                GridParams(g=g)
 
 
 class TestStepFormulas:

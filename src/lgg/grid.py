@@ -14,6 +14,13 @@ nearest to the current one, ``ANALYSIS_GUIDED`` takes the closed-form step
 positive root of h^2 + x_i tan(theta_i) h - d_i (x_i - d_i)).  The walk is
 translated to every center; the third-quadrant edges are its point
 reflection, which makes edge symmetry exact by construction.
+
+The walk W alone decides the grid (``certify``).  If every offset lies in
+1 <= y <= x <= g // 3, no index wraps and every vertex's neighbor offsets
+lie in +-W; in integer arithmetic the conflict test depends only on
+offsets, and every center holds all of +-W.  So the grid is a locally
+Gabriel graph iff the 2|W| offsets +-W are pairwise ``conflict_free`` at
+the origin, and its edge count is a sum over W.  Neither needs the graph.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import PointSet, conflict_free
-from .graph import Graph, checked
+from .graph import Graph, InvariantViolation
 
 
 #: The largest grid side g with g**4 < 2**63, so that the int64 edge keys
@@ -121,17 +128,28 @@ def next_neighbor(q: tuple[int, int], params: GridParams) -> tuple[int, int] | N
         return r if _feasible(qx, qy, *r) else None
 
     # Greedy: the feasible offset nearest to q, ties broken by smaller y,
-    # then smaller x.  Every feasible r lies in the box 1 <= y <= x < q.x:
-    # q outside the disk on 0 r means q . r < |q|^2, while r left of 0 q
-    # with r.x >= q.x would give r.y > q.y and so q . r > |q|^2.
-    rx, ry = np.tril_indices(qx - 1)
-    rx, ry = rx + 1, ry + 1
-    ok = _feasible(qx, qy, rx, ry)
+    # then smaller x.  Every feasible r has 1 <= r.x < q.x: q outside the
+    # disk on 0 r means q . r < |q|^2, while r left of 0 q with r.x >= q.x
+    # would give r.y > q.y and so q . r > |q|^2.  In column r.x = x the
+    # feasible y form one interval [lo, hi]: r outside the disk on 0 q means
+    # 2y - q.y > sqrt(q.y^2 + 4x(q.x - x)), as the lower root is negative
+    # (this also puts r left of 0 q, which crosses the column inside the
+    # disk); then y <= x and q . r < |q|^2.
+    x = np.arange(1, qx, dtype=np.int64)
+    disc = qy * qy + 4 * x * (qx - x)
+    t = np.sqrt(disc).astype(np.int64)  # isqrt(disc), after a +-1 fix-up
+    t -= t * t > disc
+    t += (t + 1) * (t + 1) <= disc
+    lo = (qy + t + 2) // 2
+    # at q.y = 0, q . r < |q|^2 is x < q.x, and the bound below is >= x
+    hi = np.minimum(x, (qx * qx + qy * qy - qx * x - 1) // max(qy, 1))
+    ok = lo <= hi
     if not ok.any():
         return None
-    rx, ry = rx[ok], ry[ok]
-    k = np.lexsort((rx, ry, (rx - qx) ** 2 + (ry - qy) ** 2))[0]
-    return int(rx[k]), int(ry[k])
+    # the nearest y of each column, then the nearest column
+    x, y = x[ok], np.clip(qy, lo[ok], hi[ok])
+    k = np.lexsort((x, y, (x - qx) ** 2 + (y - qy) ** 2))[0]
+    return int(x[k]), int(y[k])
 
 
 def first_neighbor(params: GridParams) -> tuple[int, int]:
@@ -163,26 +181,59 @@ def step_states(params: GridParams) -> list[StepState]:
     return states + [StepState(x, y, math.atan2(y, x), None, None, None)]
 
 
+def certify(params: GridParams) -> GridBuildStats:
+    """Certify the grid from its Q1 walk alone, and count its edges.
+
+    Raises ``InvariantViolation`` if the grid would not be locally Gabriel;
+    nothing of size n = g * g is built.
+    """
+    return _certify(params.g, neighbors_q1(params))
+
+
+def _certify(g: int, walk: list[tuple[int, int]]) -> GridBuildStats:
+    s = g // 3
+    for x, y in walk:  # then no index wraps and +-W holds every neighbor offset
+        if not 1 <= y <= x <= s:
+            raise InvariantViolation(
+                f"grid walk offset {(x, y)} lies outside 1 <= y <= x <= {s}"
+            )
+    offsets = np.array(walk + [(-x, -y) for x, y in walk], dtype=np.int64)
+    i, j = np.triu_indices(len(offsets), 1)
+    (ax, ay), (bx, by) = offsets[i].T, offsets[j].T
+    if (bad := ~conflict_free(0, 0, ax, ay, bx, by)).any():
+        k = int(bad.argmax())
+        raise InvariantViolation(
+            f"grid walk offsets {tuple(offsets[i[k]].tolist())} and "
+            f"{tuple(offsets[j[k]].tolist())} conflict at the center"
+        )
+    # offset (x, y) joins the w x w center block C to C + (x, y): 2 w^2 edges
+    # less the (w - x)(w - y) centers in both; x, y <= s <= w
+    w = (2 * g) // 3 - g // 3
+    total = sum(2 * w * w - (w - x) * (w - y) for x, y in walk)
+    return GridBuildStats(len(walk), total)
+
+
 def build(params: GridParams) -> tuple[Graph, GridBuildStats]:
-    """Construct and verify the grid LGG; n = g * g points.
+    """Construct the certified grid LGG; n = g * g points.
 
     Every center point (both coordinates in [floor(g/3), floor(2g/3))) gets
     the Q1 offsets of the walk, and their point reflection as Q3 offsets.
-    Raises ``InvariantViolation`` if the verifier finds a conflict.
+    Raises ``InvariantViolation`` if the walk fails ``certify``, before
+    anything of size n is built.
     """
     g = params.g
     n = g * g
+    walk = neighbors_q1(params)
+    stats = _certify(g, walk)
     points = PointSet(*np.divmod(np.arange(n, dtype=np.int64), g))
     side = np.arange(g // 3, (2 * g) // 3)
     centres = (side[:, None] * g + side).reshape(-1, 1)
     # index steps d > 0, so (c, c + d) and (c - d, c) are already canonical;
     # as keys i * n + j they sort lexicographically
-    steps = np.array([x * g + y for x, y in neighbors_q1(params)])
+    steps = np.array([x * g + y for x, y in walk])
     ahead, behind = centres * n + centres + steps, (centres - steps) * n + centres
     # sort and drop repeats: numpy 2.4's hash-based np.unique is about 40x
     # slower than sorting on these keys
     keys = np.sort(np.concatenate((ahead, behind), axis=None))
     keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-    graph = checked(points, np.column_stack(np.divmod(keys, n)))
-    return graph, GridBuildStats(len(steps), len(graph.edge_array))
-
+    return Graph(points, np.column_stack(np.divmod(keys, n))), stats

@@ -8,6 +8,9 @@ vectorisation, so that a test can hold the fast library path to it:
 * ``edges_conflict``: the two-edge conflict as a boolean;
 * ``feasibility_gap``: the vertical room the analysis of the grid walk
   needs at one step;
+* ``box_greedy_step``: the greedy grid step as an argmin over the whole
+  box of candidate offsets, against ``lgg.grid.next_neighbor``'s one
+  interval per column;
 * ``include_first_max``: an include-first DFS for the maximum independent
   set of a conflict graph, against ``lgg.extremal``'s branch and bound.
 """
@@ -16,9 +19,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from lgg.geometry import Point, conflict_kind, in_closed_disk
 from lgg.graph import ConflictReport, Graph, Violation
-from lgg.grid import h_from_eq1
+from lgg.grid import _feasible, h_from_eq1
 
 
 def verify_direct(g: Graph) -> ConflictReport:
@@ -62,6 +67,23 @@ def feasibility_gap(x_i: int, theta_i: float, d_i: int) -> float:
         raise ValueError("theta must lie in (0, pi/4]")
     tan = math.tan(theta_i)
     return d_i / tan - h_from_eq1(x_i, tan, d_i)
+
+
+def box_greedy_step(q: tuple[int, int]) -> tuple[int, int] | None:
+    """The feasible offset nearest to ``q``, ties to smaller y, then smaller x.
+
+    Every feasible offset lies in the box 1 <= y <= x < q.x, so this is the
+    argmin of (dist^2, y, x) over all of it, O(q.x^2) per step.
+    """
+    qx, qy = q
+    rx, ry = np.tril_indices(qx - 1)
+    rx, ry = rx + 1, ry + 1
+    ok = _feasible(qx, qy, rx, ry)
+    if not ok.any():
+        return None
+    rx, ry = rx[ok], ry[ok]
+    k = np.lexsort((rx, ry, (rx - qx) ** 2 + (ry - qy) ** 2))[0]
+    return int(rx[k]), int(ry[k])
 
 
 def _clique_cover_bound(adj, avail: int) -> int:

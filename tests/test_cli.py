@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,10 +158,27 @@ class TestScaling:
         assert run(["scaling", "--sides", "12"]) == 2
 
     def test_huge_side_exits_2_before_any_build(self, capsys, monkeypatch):
-        # every side is checked before the first build, which would fail here
-        monkeypatch.setattr(lgg.grid, "build", None)
+        # every side is checked before the first count, which would fail here
+        monkeypatch.setattr(lgg.grid, "certify", None)
         assert run(["scaling", "--sides", "30,1000000"]) == 2
         assert "--side 1000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["greedy", "analysis"])
+    def test_counts_to_max_side_within_budget(self, tmp_path, mode):
+        out = tmp_path / "scaling.csv"
+        sides = [30, 90, 150, 300, 3000, 30000, lgg.grid.MAX_SIDE]
+        start = time.monotonic()
+        assert run(["scaling", "--sides", ",".join(map(str, sides)),
+                    "--mode", mode, "-o", str(out)]) == 0
+        assert time.monotonic() - start < 10.0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+        assert [int(g) for g, *_ in rows] == sides
+        for g, n, edges, _ in rows:
+            assert int(n) == int(g) ** 2
+            if int(g) <= 150:
+                params = lgg.grid.GridParams(g=int(g), mode=lgg.grid.Mode(mode))
+                graph, _ = lgg.grid.build(params)
+                assert int(edges) == len(graph.edge_array)
 
 
 class TestOutOfMemory:
@@ -175,7 +193,9 @@ class TestOutOfMemory:
         def build(params):
             raise MemoryError(message)
 
+        # construct grid calls build, scaling calls certify
         monkeypatch.setattr(lgg.grid, "build", build)
+        monkeypatch.setattr(lgg.grid, "certify", build)
         assert run(args) == 1
         assert capsys.readouterr() == ("", err)
 
@@ -358,7 +378,6 @@ class TestFailedVerification:
     """A built graph the verifier rejects exits 1 with one error line."""
 
     @pytest.mark.parametrize("args", [
-        ["construct", "grid", "--side", "9"],
         ["construct", "path", "--points"],
         ["construct", "fan", "--n", "6"],
         ["construct", "cycle", "--n", "6"],

@@ -1,11 +1,13 @@
-"""Grid construction: step formulas, the walk, and full builds."""
+"""Grid construction: step formulas, the walk, full builds and the certificate."""
 
 import math
 import random
 
 import pytest
 
-from lgg.graph import verify
+import lgg.grid
+from lgg.cli import main
+from lgg.graph import InvariantViolation, verify
 from lgg.grid import (
     MAX_SIDE,
     GridBuildStats,
@@ -13,13 +15,14 @@ from lgg.grid import (
     Mode,
     _feasible,
     build,
+    certify,
     first_neighbor,
     h_from_eq1,
     neighbors_q1,
     next_neighbor,
     step_states,
 )
-from reference import feasibility_gap
+from reference import box_greedy_step, feasibility_gap
 
 
 class TestParams:
@@ -136,6 +139,17 @@ class TestNextNeighbor:
         assert r is not None
         assert _feasible(50, 3, *r)
 
+    def test_greedy_matches_box_reference_on_small_offsets(self):
+        params = GridParams(g=9)
+        for qx in range(1, 101):
+            for qy in range(qx + 1):
+                assert next_neighbor((qx, qy), params) == box_greedy_step((qx, qy))
+
+    @pytest.mark.parametrize("g", [300, 600, 1000, 3000])
+    def test_greedy_walk_matches_box_reference(self, g):
+        walk = neighbors_q1(GridParams(g=g))
+        assert [box_greedy_step(q) for q in walk] == walk[1:] + [None]
+
 
 class TestWalk:
     def test_first_neighbor(self):
@@ -230,3 +244,52 @@ class TestBuild:
         _, analysis = build(GridParams(g=30, mode=Mode.ANALYSIS_GUIDED))
         assert greedy.total_edges >= analysis.total_edges
 
+
+def _with_offset(monkeypatch, extra):
+    """Make every walk end with the offset ``extra(walk)``."""
+    walk_of = lgg.grid.neighbors_q1
+
+    def walk(params):
+        w = walk_of(params)
+        return w + [extra(w)]
+
+    monkeypatch.setattr(lgg.grid, "neighbors_q1", walk)
+
+
+class TestCertify:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("g, theta0, c1", [
+        (30, 1.74e-3, 1.01), (90, 1.74e-3, 1.01), (150, 1.74e-3, 1.01),
+        (300, 1.74e-3, 1.01), (150, 0.3, 1.7),
+    ])
+    def test_agrees_with_build_and_verify(self, g, theta0, c1, mode):
+        params = GridParams(g=g, theta0=theta0, c1=c1, mode=mode)
+        graph, stats = build(params)
+        assert certify(params) == stats
+        assert stats.total_edges == len(graph.edge_array)
+        assert verify(graph).valid
+
+    def test_conflicting_offset_raises(self, monkeypatch):
+        # (x, y + 1) after (x, y): the disk on 0 (x, y + 1) holds (x, y)
+        _with_offset(monkeypatch, lambda w: (w[0][0], w[0][1] + 1))
+        params = GridParams(g=30)
+        with pytest.raises(InvariantViolation, match="conflict at the center"):
+            certify(params)
+        with pytest.raises(InvariantViolation, match="conflict at the center"):
+            build(params)
+
+    def test_offset_outside_box_raises(self, monkeypatch):
+        # x = s + 1 would reach past the grid from the last center
+        _with_offset(monkeypatch, lambda w: (11, 1))
+        with pytest.raises(InvariantViolation, match=r"outside 1 <= y <= x <= 10"):
+            build(GridParams(g=30))
+
+    def test_bad_walk_exits_1(self, monkeypatch, capsys, tmp_path):
+        _with_offset(monkeypatch, lambda w: (w[0][0], w[0][1] + 1))
+        out = tmp_path / "grid.json"
+        assert main(["construct", "grid", "--side", "30", "-o", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

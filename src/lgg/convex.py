@@ -61,7 +61,7 @@ def monotonic_path(ps: PointSet) -> Construction:
             f" (strict={cls.strict})"
         )
     edges = [(i, i + 1) for i in range(len(ps) - 1)]
-    return _checked("monotonic_path", ps, edges)
+    return Construction("monotonic_path", ps, checked(ps, edges), cls)
 
 
 def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:

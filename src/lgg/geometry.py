@@ -339,10 +339,11 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_chains(pts: list[tuple]) -> tuple[list[tuple], list[tuple]]:
-    """Lower and upper hull chains, left to right, with the points on hull edges.
+def _hull_cycle(pts: list[tuple]) -> list[tuple]:
+    """Counter-clockwise hull cycle from the lowest leftmost point, with the
+    points on hull edges; a collinear set runs out and back (2n - 2 points).
 
-    Andrew's monotone chain, popping only on right turns.
+    Andrew's monotone chains, popping only on right turns.
     """
 
     def chain(seq) -> list[tuple]:
@@ -354,7 +355,7 @@ def _hull_chains(pts: list[tuple]) -> tuple[list[tuple], list[tuple]]:
         return out
 
     pts = sorted(set(pts))
-    return chain(pts), chain(reversed(pts))[::-1]
+    return chain(pts) + chain(reversed(pts))[1:-1]
 
 
 def _classify_monotonic(ps: PointSet) -> ConvexClass | None:
@@ -372,23 +373,6 @@ def _classify_monotonic(ps: PointSet) -> ConvexClass | None:
     for holds, strict in ((steps == signs, True), (steps != -signs, False)):
         if (kinds := holds.all(axis=(1, 2))).any():
             return ConvexClass(list(_STEP_SIGNS)[int(kinds.argmax())], strict)
-    return None
-
-
-def _classify_half(lower: list[tuple], upper: list[tuple]) -> ConvexClass | None:
-    """Right (the upper chain descends, the lower one ascends) or left (the
-    reverse) half-convex class of strictly convex hull chains, or None."""
-    # the shared end points count as lower-chain points, except the top of
-    # a vertical right edge
-    up, low = upper[1:-1], lower
-    if lower[-2][0] == lower[-1][0]:
-        up, low = upper[1:], lower[:-1]
-    # the upper chain's y steps and the lower one's, negated
-    steps = np.r_[np.diff([p[1] for p in up]), -np.diff([p[1] for p in low])]
-    if (steps <= 0).all():
-        return ConvexClass(ConvexKind.RIGHT_HALF_CONVEX, bool((steps < 0).all()))
-    if (steps >= 0).all():
-        return ConvexClass(ConvexKind.LEFT_HALF_CONVEX, bool((steps > 0).all()))
     return None
 
 
@@ -425,23 +409,27 @@ def classify(ps: PointSet) -> ConvexClass:
     if mono is not None:
         return mono
     n, xs, ys = len(ps), ps.xs.tolist(), ps.ys.tolist()
-    lower, upper = _hull_chains(list(zip(xs, ys)))
-    # counter-clockwise from the lowest leftmost point; a collinear set runs
-    # out and back (2n - 2 points), which pairs opposite points all the same
-    cycle = lower + upper[-2:0:-1]
+    cycle = _hull_cycle(list(zip(xs, ys)))
     if len(set(cycle)) < n:  # a point strictly inside the hull
         return ConvexClass(ConvexKind.NON_CONVEX, False)
-    # strict: no point lies inside a hull edge
-    conv_strict = all(_cross(a, b, c) != 0 for ch in (lower, upper)
-                      for a, b, c in zip(ch, ch[1:], ch[2:]))
-    # Collinear triples degenerate the hull chains; such sets fall through
-    # to the order-insensitive classes below.
-    if conv_strict and (half := _classify_half(lower, upper)):
-        return half
+    # strict: no zero turn along the cycle, so no point inside a hull edge
+    after = cycle[1:] + cycle[:1]
+    conv_strict = all(map(_cross, cycle, after, after[1:] + after[:1]))
     # exact for integer points (band 0); real points pass within a band
     # relative to their largest magnitude
     band = 0 if ps.is_exact else max(ps.eps, 1e-12)
     scale = max(map(abs, xs + ys)) or 1
+    # The cycle runs the lower chain left to right and the upper one right
+    # to left, so a right half set (upper chain descending, lower one
+    # ascending) never falls but on vertical steps, and a left one never
+    # rises.  A set with a zero turn, or whose non-vertical steps are all
+    # flat, is neither and falls through to the classes below.
+    tol = band * scale
+    dys = [by - ay for (ax, ay), (bx, by) in zip(cycle, after) if abs(bx - ax) > tol]
+    rise, fall = any(dy > tol for dy in dys), any(dy < -tol for dy in dys)
+    if conv_strict and rise != fall:
+        kind = ConvexKind.RIGHT_HALF_CONVEX if rise else ConvexKind.LEFT_HALF_CONVEX
+        return ConvexClass(kind, all(abs(dy) > tol for dy in dys))
     # each point of the cycle and the one half a cycle later sum to twice the
     # centroid; an odd set is never symmetric, though a collinear one pairs up
     h, tol, sx, sy = len(cycle) // 2, n * 4 * band * scale, sum(xs), sum(ys)

@@ -132,12 +132,33 @@ class ConflictReport:
 _VERIFY_CHUNK = 1 << 12
 
 
+def _pair_blocks(verts: np.ndarray, d: int):
+    """Blocks ``(vertices, ia, ib)`` of about ``_VERIFY_CHUNK`` pairs ``(ia, ib)``
+    of neighbor positions of the given degree-``d`` vertices.
+
+    Up to that many pairs per vertex a block holds every pair of a group of
+    vertices; above it, one vertex's pair triangle is walked in row blocks.
+    """
+    if d * (d - 1) // 2 <= _VERIFY_CHUNK:
+        ia, ib = np.triu_indices(d, 1)
+        step = _VERIFY_CHUNK // len(ia)
+        for lo in range(0, len(verts), step):
+            yield verts[lo : lo + step], ia, ib
+        return
+    rows = max(1, _VERIFY_CHUNK // d)
+    for k in range(len(verts)):
+        for r in range(0, d - 1, rows):
+            # rows past the triangle's last one hold no pairs
+            ia, ib = np.triu_indices(rows, 1 + r, d)
+            yield verts[k : k + 1], ia + r, ib
+
+
 def verify(g: Graph) -> ConflictReport:
     """All conflicting neighbor pairs, one record per (u, {v, w}).
 
     One vectorised pass, quadratic in vertex degrees: vertices are grouped
-    by degree d, their neighbor pairs come from ``triu_indices(d, 1)``, and
-    ``conflict_free`` runs on bounded chunks of those pairs.
+    by degree d, their neighbor pairs come from ``triu_indices``, and
+    ``conflict_free`` runs on bounded blocks of those pairs.
     """
     xs, ys, eps = g.points.xs, g.points.ys, g.points.eps
     deg = np.diff(g.indptr)
@@ -145,11 +166,7 @@ def verify(g: Graph) -> ConflictReport:
     # the degrees >= 2 in ascending order; numpy 2.4's hash-based np.unique
     # is about 40x slower than counting here
     for d in (np.flatnonzero(np.bincount(deg)[2:]) + 2).tolist():
-        ia, ib = np.triu_indices(d, 1)
-        verts = np.flatnonzero(deg == d)
-        step = max(1, _VERIFY_CHUNK // len(ia))
-        for lo in range(0, len(verts), step):
-            rows = verts[lo : lo + step]
+        for rows, ia, ib in _pair_blocks(np.flatnonzero(deg == d), d):
             nbrs = g.indices[g.indptr[rows, None] + np.arange(d)]
             u = np.repeat(rows, len(ia))
             v, w = nbrs[:, ia].ravel(), nbrs[:, ib].ravel()

@@ -12,7 +12,9 @@ vectorisation, so that a test can hold the fast library path to it:
   box of candidate offsets, against ``lgg.grid.next_neighbor``'s one
   interval per column;
 * ``include_first_max``: an include-first DFS for the maximum independent
-  set of a conflict graph, against ``lgg.extremal``'s branch and bound.
+  set of a conflict graph, against ``lgg.extremal``'s branch and bound;
+* ``lis_dp``: the O(n^2) dynamic programme for the longest monotone
+  subsequence, against ``lgg.independence.longest_monotone_subsequence``.
 """
 
 from __future__ import annotations
@@ -128,4 +130,22 @@ def include_first_max(cg) -> list[int]:
         dfs(avail & ~(1 << v))
 
     dfs((1 << cg.m) - 1)
+    return best
+
+
+def lis_dp(ps) -> int:
+    """O(n^2) longest monotone subsequence length, both directions."""
+    n = len(ps)
+    best = 0
+    for sign in (1, -1):
+        # for the non-increasing direction ties in x must be scanned in
+        # reversed y order so equal-x points can chain correctly
+        seq = sorted(range(n), key=lambda i: (ps[i].x, sign * ps[i].y))
+        ys = [sign * ps[i].y for i in seq]
+        dp = [1] * n
+        for i in range(n):
+            for j in range(i):
+                if ys[j] <= ys[i]:
+                    dp[i] = max(dp[i], dp[j] + 1)
+        best = max(best, max(dp))
     return best

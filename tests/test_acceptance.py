@@ -33,7 +33,7 @@ from lgg.independence import (
     longest_monotone_subsequence,
     neighborhood_coloring,
 )
-from reference import edges_conflict, feasibility_gap
+from reference import edges_conflict, feasibility_gap, lis_dp
 
 
 @contextmanager
@@ -185,21 +185,6 @@ def _assert_margin(graph):
     assert verify(Graph(pts, graph.edges)).valid
 
 
-def _lis_dp(ps):
-    n = len(ps)
-    best = 0
-    for sign in (1, -1):
-        seq = sorted(range(n), key=lambda i: (ps[i].x, sign * ps[i].y))
-        ys = [sign * ps[i].y for i in seq]
-        dp = [1] * n
-        for i in range(n):
-            for j in range(i):
-                if ys[j] <= ys[i]:
-                    dp[i] = max(dp[i], dp[j] + 1)
-        best = max(best, max(dp))
-    return best
-
-
 def test_criterion_5_independent_sets():
     with criterion("criterion 5 (independent sets)"):
         start = time.monotonic()
@@ -225,7 +210,7 @@ def test_criterion_5_independent_sets():
             while len(qs) < n:
                 qs.add((rng.randrange(10**6), rng.randrange(10**6)))
             sub = PointSet.of(sorted(qs))
-            assert len(longest_monotone_subsequence(sub).indices) == _lis_dp(sub)
+            assert len(longest_monotone_subsequence(sub).indices) == lis_dp(sub)
 
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"took {elapsed:.2f}s"

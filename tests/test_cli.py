@@ -348,6 +348,18 @@ class TestUsage:
         assert err.startswith("error: ") and culprit in err
         assert NAMED.get(name, "") in err
 
+    def test_module_entry_point(self, tmp_path):
+        # python -m lgg.cli runs main and exits with its code
+        out = tmp_path / "g.json"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        for args in (["construct", "grid", "--side", "30", "-o", str(out)],
+                     ["verify", str(out)]):
+            done = subprocess.run([sys.executable, "-m", "lgg.cli", *args],
+                                  capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("valid: 900 points")
+
 
 #: the point or edge that the error of a ``test_malformed_input_exits_2`` case names
 NAMED = {

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import lgg.convex
 from conftest import monotonic_convex_set, strictly_monotonic_set
 from lgg.convex import (
     ConstructionError,
@@ -13,7 +14,7 @@ from lgg.convex import (
     half_convex_fan,
     monotonic_path,
 )
-from lgg.geometry import ConvexKind, PointSet
+from lgg.geometry import ConvexKind, PointSet, classify
 from lgg.graph import verify
 
 
@@ -48,6 +49,15 @@ class TestMonotonicPath:
             ps = monotonic_convex_set(rng, rng.randrange(3, 10))
             cons = monotonic_path(ps)
             assert len(cons.graph.edges) == len(ps) - 1
+
+    def test_classifies_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            lgg.convex, "classify", lambda ps: calls.append(ps) or classify(ps)
+        )
+        ps = PointSet.of([(0, 9), (2, 6), (5, 5), (9, 0)])
+        assert monotonic_path(ps).claimed_class == classify(ps)
+        assert calls == [ps]
 
 
 class TestFan:

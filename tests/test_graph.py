@@ -2,12 +2,15 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import lgg.graph
 from conftest import random_int_points, strictly_monotonic_set
+from lgg.convex import half_convex_fan
 from lgg.geometry import (
     BOUNDARY,
     INTERIOR,
@@ -233,6 +236,29 @@ class TestVerify:
             g = random_maximal_lgg(ps, seed=trial)
             keep = rng.sample(g.edges, len(g.edges) // 2)
             assert verify(Graph(ps, tuple(keep))).valid
+
+    @pytest.mark.parametrize("chunk", [8, 100, 1 << 12])
+    def test_high_degree_blocks_match_direct_definition(self, monkeypatch, chunk):
+        # hubs of degree 95 and 150 take the row-block path at the default
+        # chunk; smaller chunks split rows, down to one row per block
+        monkeypatch.setattr(lgg.graph, "_VERIFY_CHUNK", chunk)
+        rng = random.Random(chunk)
+        ps = random_int_points(rng, 160, 1000)
+        edges = {(0, v) for v in range(1, 151)} | {(1, v) for v in range(60, 155)}
+        edges |= {tuple(sorted(rng.sample(range(160), 2))) for _ in range(200)}
+        g = Graph(ps, sorted(edges))
+        assert max(map(len, g.adjacency)) >= 150
+        assert verify(g) == verify_direct(g)
+
+    def test_high_degree_memory_is_bounded(self):
+        g = half_convex_fan(2000).graph  # the centre has degree 1999
+        tracemalloc.start()
+        try:
+            assert verify(g).valid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSplitmix:

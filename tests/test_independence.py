@@ -16,25 +16,7 @@ from lgg.independence import (
     monotone_greedy_is,
     neighborhood_coloring,
 )
-
-
-def _lis_dp(ps):
-    """O(n^2) longest monotone subsequence length, both directions."""
-    n = len(ps)
-    order = sorted(range(n), key=lambda i: (ps[i].x, ps[i].y))
-    best = 0
-    for sign in (1, -1):
-        # for the non-increasing direction ties in x must be scanned in
-        # reversed y order so equal-x points can chain correctly
-        seq = sorted(range(n), key=lambda i: (ps[i].x, sign * ps[i].y))
-        ys = [sign * ps[i].y for i in seq]
-        dp = [1] * n
-        for i in range(n):
-            for j in range(i):
-                if ys[j] <= ys[i]:
-                    dp[i] = max(dp[i], dp[j] + 1)
-        best = max(best, max(dp))
-    return best
+from reference import lis_dp
 
 
 def _is_independent(g, vertices):
@@ -61,7 +43,7 @@ class TestLongestMonotone:
             ps = random_int_points(rng, n, 10**3)
             seq = longest_monotone_subsequence(ps)
             assert _is_monotone(ps, seq)
-            assert len(seq.indices) == _lis_dp(ps)
+            assert len(seq.indices) == lis_dp(ps)
 
     def test_length_at_least_sqrt_n(self):
         rng = random.Random(73)

@@ -424,12 +424,12 @@ def classify(ps: PointSet) -> ConvexClass:
     # ascending) never falls but on vertical steps, and a left one never
     # rises.  A set with a zero turn, or whose non-vertical steps are all
     # flat, is neither and falls through to the classes below.
-    tol = band * scale
-    dys = [by - ay for (ax, ay), (bx, by) in zip(cycle, after) if abs(bx - ax) > tol]
-    rise, fall = any(dy > tol for dy in dys), any(dy < -tol for dy in dys)
+    flat = band * scale
+    dys = [by - ay for (ax, ay), (bx, by) in zip(cycle, after) if abs(bx - ax) > flat]
+    rise, fall = any(dy > flat for dy in dys), any(dy < -flat for dy in dys)
     if conv_strict and rise != fall:
         kind = ConvexKind.RIGHT_HALF_CONVEX if rise else ConvexKind.LEFT_HALF_CONVEX
-        return ConvexClass(kind, all(abs(dy) > tol for dy in dys))
+        return ConvexClass(kind, all(abs(dy) > flat for dy in dys))
     # each point of the cycle and the one half a cycle later sum to twice the
     # centroid; an odd set is never symmetric, though a collinear one pairs up
     h, tol, sx, sy = len(cycle) // 2, n * 4 * band * scale, sum(xs), sum(ys)

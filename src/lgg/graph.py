@@ -133,24 +133,19 @@ _VERIFY_CHUNK = 1 << 12
 
 
 def _pair_blocks(verts: np.ndarray, d: int):
-    """Blocks ``(vertices, ia, ib)`` of about ``_VERIFY_CHUNK`` pairs ``(ia, ib)``
-    of neighbor positions of the given degree-``d`` vertices.
+    """Blocks ``(vertices, ia, ib)`` of at most ``_VERIFY_CHUNK`` pairs
+    ``(ia, ib)`` of neighbor positions of the given degree-``d`` vertices.
 
-    Up to that many pairs per vertex a block holds every pair of a group of
-    vertices; above it, one vertex's pair triangle is walked in row blocks.
+    The pair triangle is walked in blocks of rows, each taken for a group of
+    vertices; up to degree 64 one block holds the whole triangle.
     """
-    if d * (d - 1) // 2 <= _VERIFY_CHUNK:
-        ia, ib = np.triu_indices(d, 1)
-        step = _VERIFY_CHUNK // len(ia)
-        for lo in range(0, len(verts), step):
-            yield verts[lo : lo + step], ia, ib
-        return
     rows = max(1, _VERIFY_CHUNK // d)
-    for k in range(len(verts)):
-        for r in range(0, d - 1, rows):
-            # rows past the triangle's last one hold no pairs
-            ia, ib = np.triu_indices(rows, 1 + r, d)
-            yield verts[k : k + 1], ia + r, ib
+    for r in range(0, d - 1, rows):
+        # rows past the triangle's last one hold no pairs
+        ia, ib = np.triu_indices(rows, 1 + r, d)
+        step = max(1, _VERIFY_CHUNK // len(ia))
+        for lo in range(0, len(verts), step):
+            yield verts[lo : lo + step], ia + r, ib
 
 
 def verify(g: Graph) -> ConflictReport:

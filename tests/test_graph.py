@@ -239,7 +239,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("chunk", [8, 100, 1 << 12])
     def test_high_degree_blocks_match_direct_definition(self, monkeypatch, chunk):
-        # hubs of degree 95 and 150 take the row-block path at the default
+        # hubs of degree 95 and 150 span several row blocks at the default
         # chunk; smaller chunks split rows, down to one row per block
         monkeypatch.setattr(lgg.graph, "_VERIFY_CHUNK", chunk)
         rng = random.Random(chunk)

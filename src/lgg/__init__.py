@@ -8,14 +8,7 @@ from .convex import (
     monotonic_path,
 )
 from .extremal import ConflictGraph, ExtremalResult, build_conflict_graph, max_lgg
-from .geometry import (
-    ConvexClass,
-    ConvexKind,
-    Point,
-    PointSet,
-    classify,
-    in_closed_disk,
-)
+from .geometry import ConvexClass, ConvexKind, Point, PointSet, classify
 from .graph import ConflictReport, Graph, random_maximal_lgg, verify
 from .grid import (
     GridBuildStats,
@@ -62,7 +55,6 @@ __all__ = [
     "first_neighbor",
     "h_from_eq1",
     "half_convex_fan",
-    "in_closed_disk",
     "independent_set",
     "longest_monotone_subsequence",
     "max_lgg",

@@ -5,15 +5,16 @@ decided with exact integer arithmetic) or double-precision coordinates
 tagged with a relative tolerance ``eps``.  The two kinds never mix inside
 one computation.  A ``PointSet`` stores its coordinates as two read-only
 arrays, int64 or float64, which the vectorised layers use directly;
-``Point`` is the scalar form that ``ps[i]`` returns and the scalar
-predicates take.
+``Point`` is the scalar form that ``ps[i]`` returns.
 
 The central predicate is the diametral-disk test: a point ``r`` lies in the
 closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``;
 ``outside_disk`` is the one disk test.  Edges (p, q) and (p, r) coexist in
 a locally Gabriel graph iff each of q, r lies outside the other's disk;
 ``conflict_free`` is the one pair rule, which the verifier, the grid walk,
-the extremal conflict graph and ``conflict_kind`` all decide with.
+the extremal conflict graph and ``conflict_kind`` all decide with.  Both
+take Python numbers or arrays; ``conflict_kind`` is the one predicate on
+``Point`` objects, for classifying a single pair of edges.
 
 ``classify`` names the paper's point classes in O(n log n) with one formula
 per class: exact for integer points, banded for real points.
@@ -233,19 +234,6 @@ def outside_disk(ax, ay, bx, by, eps: float = 0.0):
     return dot > eps * (np.sqrt(ax * ax + ay * ay) * np.sqrt(bx * bx + by * by))
 
 
-def _coincident(a: Point, b: Point) -> bool:
-    return a.x == b.x and a.y == b.y
-
-
-def _check_disk(p: Point, q: Point, r: Point) -> None:
-    if len({p.is_exact, q.is_exact, r.is_exact}) > 1:
-        raise CoordinateKindError("predicate arguments mix coordinate kinds")
-    if _coincident(p, q):
-        raise ValueError("disk endpoints coincide")
-    if _coincident(r, p) or _coincident(r, q):
-        raise ValueError("query point coincides with a disk endpoint")
-
-
 def conflict_free(px, py, qx, qy, rx, ry, eps: float = 0.0):
     """Whether the edges (p, q) and (p, r) can coexist in a locally Gabriel graph.
 
@@ -263,37 +251,19 @@ def _interior_conflict(px, py, qx, qy, rx, ry, eps: float = 0.0):
     return r_in | outside_disk(qx - px, qy - py, rx - qx, ry - qy, eps)
 
 
-def disk_side(p: Point, q: Point, r: Point) -> int:
-    """Position of ``r`` relative to the closed disk with diameter ``pq``.
-
-    Returns +1 strictly outside, 0 on the boundary (within the tolerance
-    band for real points) and -1 strictly inside.
-    """
-    _check_disk(p, q, r)
-    ax, ay = p.x - r.x, p.y - r.y
-    bx, by = q.x - r.x, q.y - r.y
-    eps = max(p.eps, q.eps, r.eps)
-    if outside_disk(ax, ay, bx, by, eps):
-        return 1
-    # negating a is exact, so this is the mirror test a . b < -band
-    return -1 if outside_disk(-ax, -ay, bx, by, eps) else 0
-
-
-def in_closed_disk(p: Point, q: Point, r: Point) -> bool:
-    """True iff ``r`` lies in the closed disk with ``pq`` as diameter."""
-    return disk_side(p, q, r) <= 0
-
-
 def conflict_kind(p: Point, q: Point, r: Point) -> str | None:
     """Classify the conflict between edges (p, q) and (p, r).
 
     Returns ``"interior"`` when one endpoint lies strictly inside the other
     edge's diametral disk, ``"boundary"`` when the sharpest containment is
-    on the boundary, and ``None`` when the edges do not conflict.
+    on the boundary, and ``None`` when the edges do not conflict.  Points
+    of mixed kinds raise ``CoordinateKindError``, and two coincident
+    points ``ValueError``.
     """
-    if _coincident(q, r):
-        raise ValueError("edge endpoints q and r coincide")
-    _check_disk(p, q, r)
+    if len({p.is_exact, q.is_exact, r.is_exact}) > 1:
+        raise CoordinateKindError("predicate arguments mix coordinate kinds")
+    if len({(p.x, p.y), (q.x, q.y), (r.x, r.y)}) < 3:
+        raise ValueError("conflict_kind takes three distinct points")
     args = (p.x, p.y, q.x, q.y, r.x, r.y, max(p.eps, q.eps, r.eps))
     if conflict_free(*args):
         return None

@@ -26,6 +26,7 @@ the origin, and its edge count is a sum over W.  Neither needs the graph.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,6 +56,11 @@ class GridParams:
     mode: Mode = Mode.GREEDY_FEASIBLE
 
     def __post_init__(self) -> None:
+        # numpy ints pass as Python ints; a float side would fail far off, in build
+        try:
+            object.__setattr__(self, "g", operator.index(self.g))
+        except TypeError:
+            raise ValueError(f"grid side must be an integer, got {self.g!r}") from None
         if self.g < 9:
             raise ValueError("grid side must be at least 9")
         if self.g > MAX_SIDE:

@@ -1,11 +1,17 @@
 """Scalar reference implementations that the library is tested against.
 
-Each one states a definition literally, with the scalar predicates and no
+Each one states a definition literally, in plain Python and with no
 vectorisation, so that a test can hold the fast library path to it:
 
+* ``disk_side``: the closed diametral-disk test, three-way, written out
+  in Python arithmetic, against ``lgg.geometry.outside_disk``;
+  ``in_closed_disk`` is its two-way form;
 * ``verify_direct``: the per-edge disk definition of a locally Gabriel
-  graph, against ``lgg.graph.verify``'s per-vertex pair pass;
-* ``edges_conflict``: the two-edge conflict as a boolean;
+  graph, against ``lgg.graph.verify``'s per-vertex pair pass; it decides
+  and labels every conflict with ``disk_side`` alone, so it shares no
+  predicate with the library;
+* ``edges_conflict``: the two-edge conflict as a boolean, through the
+  public ``lgg.geometry.conflict_kind``;
 * ``feasibility_gap``: the vertical room the analysis of the grid walk
   needs at one step;
 * ``box_greedy_step``: the greedy grid step as an argmin over the whole
@@ -23,16 +29,59 @@ import math
 
 import numpy as np
 
-from lgg.geometry import Point, conflict_kind, in_closed_disk
+from lgg.geometry import (
+    BOUNDARY,
+    INTERIOR,
+    CoordinateKindError,
+    Point,
+    conflict_kind,
+)
 from lgg.graph import ConflictReport, Graph, Violation
 from lgg.grid import _feasible, h_from_eq1
+
+
+def disk_side(p: Point, q: Point, r: Point) -> int:
+    """Position of ``r`` relative to the closed disk with diameter ``pq``.
+
+    +1 strictly outside, 0 on the boundary (within the tolerance band for
+    real points) and -1 strictly inside.  With ``a = p - r`` and
+    ``b = q - r`` it compares ``a . b`` with ``+-eps * (|a| * |b|)``,
+    associated as ``outside_disk`` does, so the two agree bit for bit.
+    """
+    if len({p.is_exact, q.is_exact, r.is_exact}) > 1:
+        raise CoordinateKindError("predicate arguments mix coordinate kinds")
+    if len({(p.x, p.y), (q.x, q.y), (r.x, r.y)}) < 3:
+        raise ValueError("disk_side takes three distinct points")
+    ax, ay, bx, by = p.x - r.x, p.y - r.y, q.x - r.x, q.y - r.y
+    dot = ax * bx + ay * by
+    eps = max(p.eps, q.eps, r.eps)
+    band = eps * (math.sqrt(ax * ax + ay * ay) * math.sqrt(bx * bx + by * by))
+    if dot > band:
+        return 1
+    return -1 if dot < -band else 0
+
+
+def in_closed_disk(p: Point, q: Point, r: Point) -> bool:
+    """True iff ``r`` lies in the closed disk with ``pq`` as diameter."""
+    return disk_side(p, q, r) <= 0
+
+
+def conflict_label(p: Point, q: Point, r: Point) -> str | None:
+    """The conflict of edges (p, q) and (p, r) from two ``disk_side`` tests.
+
+    Interior when ``r`` is strictly inside the disk on ``pq`` or ``q``
+    strictly inside the one on ``pr``, boundary when the nearer of the two
+    is on a boundary, None when both are strictly outside.
+    """
+    side = min(disk_side(p, q, r), disk_side(p, r, q))
+    return None if side > 0 else INTERIOR if side < 0 else BOUNDARY
 
 
 def verify_direct(g: Graph) -> ConflictReport:
     """Per-edge cross-check oracle for ``verify``.
 
     Iterates edges (u, v) and tests every neighbor of u and of v for
-    membership in the closed disk with uv as diameter; ``conflict_kind``
+    membership in the closed disk with uv as diameter; ``conflict_label``
     labels each conflicting pair.
     """
     pts = g.points
@@ -46,7 +95,7 @@ def verify_direct(g: Graph) -> ConflictReport:
             if w != u and in_closed_disk(pts[v], pts[u], pts[w]):
                 found.add((v, min(u, w), max(u, w)))
     triples = sorted(found)
-    kinds = [conflict_kind(pts[u], pts[v], pts[w]) for u, v, w in triples]
+    kinds = [conflict_label(pts[u], pts[v], pts[w]) for u, v, w in triples]
     return ConflictReport(tuple(Violation(*t, k) for t, k in zip(triples, kinds)))
 
 

@@ -25,7 +25,7 @@ from lgg.convex import (
     monotonic_path,
 )
 from lgg.extremal import max_lgg
-from lgg.geometry import Point, PointSet, in_closed_disk
+from lgg.geometry import Point, PointSet
 from lgg.graph import Graph, random_maximal_lgg, verify
 from lgg.grid import GridParams, Mode, build, h_from_eq1
 from lgg.independence import (
@@ -33,7 +33,7 @@ from lgg.independence import (
     longest_monotone_subsequence,
     neighborhood_coloring,
 )
-from reference import edges_conflict, feasibility_gap, lis_dp
+from reference import edges_conflict, feasibility_gap, in_closed_disk, lis_dp
 
 
 @contextmanager

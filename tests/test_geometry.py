@@ -23,11 +23,11 @@ from lgg.geometry import (
     Point,
     PointSet,
     classify,
+    conflict_free,
     conflict_kind,
-    disk_side,
-    in_closed_disk,
+    outside_disk,
 )
-from reference import edges_conflict
+from reference import conflict_label, disk_side, edges_conflict, in_closed_disk
 
 
 def P(x, y):
@@ -176,37 +176,104 @@ class TestPointSet:
             PointSet(np.array([[1, 2]]), np.array([[1, 2]]))
 
 
+def _side(p, q, r):
+    """+1, 0 or -1 for ``r`` outside, on or inside the disk on ``pq``, from
+    ``outside_disk`` and its mirror."""
+    ax, ay, bx, by = p.x - r.x, p.y - r.y, q.x - r.x, q.y - r.y
+    eps = max(p.eps, q.eps, r.eps)
+    if outside_disk(ax, ay, bx, by, eps):
+        return 1
+    return -1 if outside_disk(-ax, -ay, bx, by, eps) else 0
+
+
+def _free(p, q, r):
+    return conflict_free(p.x, p.y, q.x, q.y, r.x, r.y, max(p.eps, q.eps, r.eps))
+
+
+def _real_triples(rng, count, scale):
+    """Random real triples, a third of them right-angled up to rounding."""
+    out = []
+    while len(out) < count:
+        p, q = [(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in "pq"]
+        if rng.random() < 1 / 3:  # r on the circle on pq: a boundary case
+            cx, cy = (p[0] + q[0]) / 2, (p[1] + q[1]) / 2
+            rad, t = math.dist(p, q) / 2, rng.uniform(0, 2 * math.pi)
+            r = (cx + rad * math.cos(t), cy + rad * math.sin(t))
+        else:
+            r = (rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+        if len({p, q, r}) == 3:
+            out.append([Point(*t, 1e-9) for t in (p, q, r)])
+    return out
+
+
 class TestDiskSide:
     def test_inside_boundary_outside(self):
         p, q = P(0, 0), P(4, 0)
-        assert disk_side(p, q, P(2, 1)) == -1
-        assert disk_side(p, q, P(2, 2)) == 0  # on the circle
-        assert disk_side(p, q, P(2, 3)) == 1
+        assert [_side(p, q, P(2, y)) for y in (1, 2, 3)] == [-1, 0, 1]
+        # q is outside the disk on pr, so the pair rule reads r's side alone
+        assert [_free(p, q, P(2, y)) for y in (1, 2, 3)] == [False, False, True]
+        assert [disk_side(p, q, P(2, y)) for y in (1, 2, 3)] == [-1, 0, 1]
 
     def test_symmetric_in_disk_endpoints(self):
         rng = random.Random(11)
-        for _ in range(500):
-            ps = random_int_points(rng, 3, 2**15)
-            p, q, r = ps[0], ps[1], ps[2]
-            assert in_closed_disk(p, q, r) == in_closed_disk(q, p, r)
+        triples = [list(random_int_points(rng, 3, 2**15)) for _ in range(500)]
+        for p, q, r in triples + _real_triples(rng, 500, 1e3):
+            assert _side(p, q, r) == _side(q, p, r)
+            assert _free(p, q, r) == _free(p, r, q)
 
     def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            disk_side(P(0, 0), P(0, 0), P(1, 1))
-        with pytest.raises(ValueError):
-            disk_side(P(0, 0), P(2, 0), P(0, 0))
+        # a disk on coincident endpoints, or a query on an endpoint, is
+        # rejected by the one scalar predicate and by the reference alike
+        for pred in (conflict_kind, disk_side):
+            with pytest.raises(ValueError):
+                pred(P(0, 0), P(0, 0), P(1, 1))
+            with pytest.raises(ValueError):
+                pred(P(0, 0), P(2, 0), P(0, 0))
+            with pytest.raises(ValueError):
+                pred(P(0, 0), P(2, 0), P(2, 0))
 
     def test_real_mode_tolerance_band(self):
         eps = 1e-9
-        p = Point(0.0, 0.0, eps)
-        q = Point(4.0, 0.0, eps)
-        # exactly on the circle: within the band
-        assert disk_side(p, q, Point(2.0, 2.0, eps)) == 0
-        # displaced by much more than the band
-        assert disk_side(p, q, Point(2.0, 2.0 + 1e-3, eps)) == 1
-        assert disk_side(p, q, Point(2.0, 2.0 - 1e-3, eps)) == -1
-        # displaced by much less than the band: still boundary
-        assert disk_side(p, q, Point(2.0, 2.0 + 1e-12, eps)) == 0
+        p, q = Point(0.0, 0.0, eps), Point(4.0, 0.0, eps)
+        # exactly on the circle, within the band, then displaced by much
+        # more than the band, then by much less than it
+        rs = [Point(2.0, y, eps) for y in (2.0, 2.0 + 1e-3, 2.0 - 1e-3, 2.0 + 1e-12)]
+        assert [_side(p, q, r) for r in rs] == [0, 1, -1, 0]
+        assert [_free(p, q, r) for r in rs] == [False, True, False, False]
+
+    def test_scalars_and_arrays_decide_alike(self):
+        # Python numbers and int64 or float64 arrays give the same answers,
+        # also at the corners of the exact range, where int64 products
+        # come within 2**31 of overflow
+        c = MAX_EXACT_COORD
+        corners = [(x, y) for x in (-c, 0, c - 1, c) for y in (-c, 1, c)]
+        rng = random.Random(43)
+        ints = rng.choices(corners, k=1200)
+        ints += [(rng.randint(-c, c), rng.randint(-c, c)) for _ in range(1200)]
+        reals = [(float(x), float(y)) for x, y in ints]
+        for coords, dtype, eps in ((ints, np.int64, 0.0), (reals, np.float64, 1e-9)):
+            arr = np.array(coords, dtype).reshape(-1, 3, 2)
+            triples = [t for t in arr.tolist() if len({tuple(v) for v in t}) == 3]
+            (px, py), (qx, qy), (rx, ry) = np.array(triples, dtype).transpose(1, 2, 0)
+            a = (px - rx, py - ry, qx - rx, qy - ry)
+            want_out = outside_disk(*a, eps)
+            want_free = conflict_free(px, py, qx, qy, rx, ry, eps)
+            for k, ((sx, sy), (tx, ty), (ux, uy)) in enumerate(triples):
+                got = outside_disk(sx - ux, sy - uy, tx - ux, ty - uy, eps)
+                assert got == want_out[k]
+                assert conflict_free(sx, sy, tx, ty, ux, uy, eps) == want_free[k]
+
+    def test_reference_agrees_with_library(self):
+        # the literal disk test against outside_disk, and the labels it
+        # gives against conflict_kind's, on all three sides
+        rng = random.Random(47)
+        triples = [list(random_int_points(rng, 3, 2**20)) for _ in range(1000)]
+        sides = set()
+        for p, q, r in triples + _real_triples(rng, 1000, 1e6):
+            sides.add(side := disk_side(p, q, r))
+            assert side == _side(p, q, r)
+            assert conflict_label(p, q, r) == conflict_kind(p, q, r)
+        assert sides == {-1, 0, 1}
 
 
 class TestConflict:
@@ -274,7 +341,7 @@ class TestConflict:
         with pytest.raises(CoordinateKindError, match="mix coordinate kinds"):
             conflict_kind(P(0, 0), P(1, 0), Point(0.5, 1.0, 1e-9))
         with pytest.raises(CoordinateKindError, match="mix coordinate kinds"):
-            disk_side(Point(0.0, 0.0, 1e-9), P(1, 0), P(0, 1))
+            conflict_kind(Point(0.0, 0.0, 1e-9), P(1, 0), P(0, 1))
 
 
 def _angle_at(v, a, b):

@@ -17,7 +17,6 @@ from lgg.geometry import (
     MAX_REAL_COORD,
     MIN_REAL_COORD,
     PointSet,
-    in_closed_disk,
 )
 from lgg.graph import (
     Graph,
@@ -29,7 +28,7 @@ from lgg.graph import (
     random_maximal_lgg,
     verify,
 )
-from reference import verify_direct
+from reference import in_closed_disk, verify_direct
 
 
 class TestGraph:

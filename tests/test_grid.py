@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import lgg.grid
@@ -51,6 +52,16 @@ class TestParams:
         for g in (MAX_SIDE + 1, 3_000_000_000):
             with pytest.raises(ValueError, match=f"at most {MAX_SIDE}"):
                 GridParams(g=g)
+
+
+    def test_side_must_be_an_integer(self):
+        # a float side once passed here and failed far off, in build
+        for g in (30.0, 30.5, "30"):
+            with pytest.raises(ValueError, match=f"must be an integer, got {g!r}"):
+                GridParams(g=g)
+        p = GridParams(g=np.int64(30))
+        assert type(p.g) is int
+        assert build(p)[0] == build(GridParams(g=30))[0]
 
 
 class TestStepFormulas:

@@ -160,9 +160,12 @@ class TestWriterParity:
 
 class TestPairArray:
     @pytest.mark.parametrize("items, message", [
-        ([(0, 1), (1, 2**63)], r"edge 1: \(1, 9223372036854775808\) out of range"),
-        ([[0, 1], [1e300, 1]], r"edge 1: expected int, got \[1e\+300, 1\]"),
-        ([[0, 1], [math.nan, 1]], r"edge 1: expected int, got \[nan, 1\]"),
+        pytest.param([(0, 1), (1, 2**63)],
+                     r"edge 1: \(1, 9223372036854775808\) out of range", id="int-2**63"),
+        pytest.param([[0, 1], [1e300, 1]],
+                     r"edge 1: expected int, got \[1e\+300, 1\]", id="float-1e300"),
+        pytest.param([[0, 1], [math.nan, 1]],
+                     r"edge 1: expected int, got \[nan, 1\]", id="float-nan"),
     ])
     def test_int64_overflow_named(self, items, message):
         with pytest.raises(ValueError, match=message):

@@ -10,12 +10,20 @@ Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 canonical edge order, sorted keys, shortest round-trip numbers.
 
 The writer formats the coordinate and edge arrays straight into the text
-around ``json.dumps`` of ``meta``.  The JSON reader turns each of the two
-arrays into an array with one ``geometry.pair_array`` call, the library's
-one conversion of outside pairs: arrays of two-element arrays, coordinates
-ints or floats, endpoints ints, never booleans, each checked over the whole
-array, with the items walked only when a check fails, to name the first
-bad one.  ``Graph`` takes the int64 edge array as it is, so no list is
+around ``json.dumps`` of ``meta``.  The JSON reader reads the writer's own
+layout (those keys in that order, no whitespace but at the end) with one
+flat ``json.loads`` per array: a span whose brackets and commas are those
+of a list of pairs loses its brackets, and ``json`` reads the numbers left,
+which go into an int64 array, or float64 if a float is present.  Every
+other file, and every one that path cannot read as ``json.loads`` would (a
+value beyond int64, a float endpoint, a bad ``meta``), goes through the
+general reader: ``json.loads`` of the whole text, then one
+``geometry.pair_array`` call per array, the library's one conversion of
+outside pairs: arrays of two-element arrays, coordinates ints or floats,
+endpoints ints, never booleans, each checked over the whole array, with the
+items walked only when a check fails, to name the first bad one.  So only
+the general reader raises a parse error, and its messages are the same for
+every layout.  ``Graph`` takes the int64 edge array as it is, so no list is
 scanned twice; range and duplicate checks are left to ``PointSet`` and
 ``Graph``.  The CSV reader checks each row as a ``Point`` so that a bad
 value names its line.  Every malformed input raises ``FormatError`` naming
@@ -101,21 +109,86 @@ def graph_to_json(g: Graph, meta: dict | None = None) -> str:
     )
 
 
-def graph_from_json(text: str) -> Graph:
+def _epsilon(meta) -> float:
+    """``meta.epsilon`` or the default; a finite nonnegative number."""
+    eps = meta.get("epsilon", DEFAULT_EPSILON)
+    if type(eps) not in (int, float) or not 0 <= eps <= sys.float_info.max:
+        raise ValueError(
+            f"meta.epsilon must be a finite nonnegative JSON number, got {eps!r}"
+        )
+    return eps
+
+
+def _flat_pairs(span: str, kinds: tuple) -> np.ndarray | None:
+    """``span``, the writer's ``[[a,b],...]``, read with one flat ``json.loads``.
+
+    With its number characters deleted, the span must be the brackets and
+    commas of m pairs, and its joints must be the literal ``[[``, ``],[``
+    and ``]]``, so that numbers sit only inside pairs and replacing the
+    joints by commas leaves the 2m numbers for ``json`` to read.  The array
+    is float64 if a number has a fraction or exponent (a float to ``json``),
+    else int64, as ``pair_array`` makes it.  None if the span is not so, a
+    float is not in ``kinds`` or a value does not fit the dtype.
+    """
+    real = any(c in span for c in ".eE")
+    if (real and float not in kinds) or not span.isascii():
+        return None
+    dtype = np.float64 if real else np.int64
+    if span == "[]":
+        return np.empty((0, 2), dtype)
+    raw = span.encode("ascii")
+    frame = raw.translate(None, b"0123456789+-.eE")
+    m = len(frame) // 4
+    joints = raw[:2] == b"[[" and raw[-2:] == b"]]" and raw.count(b"],[") == m - 1
+    if not joints or frame != b"[" + (b"[,]," * m)[:-1] + b"]":
+        return None
+    try:
+        flat = json.loads("[" + span[2:-2].replace("],[", ",") + "]")
+        return np.fromiter(flat, dtype, len(flat)).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _read_compact(text: str):
+    """``(xy, edges, eps)`` of the writer's own layout, else None.
+
+    ``{"edges":A,"meta":M,"points":B}`` and trailing whitespace, where A is
+    the span up to the first ``,"meta":`` and B starts at the last
+    ``,"points":``.  If A and B pass ``_flat_pairs`` and M is a JSON value,
+    the text is exactly that object, so ``json.loads`` of it would give the
+    same arrays and meta.
+    """
+    end, start = text.find(',"meta":'), text.rfind(',"points":[')
+    body = text.rstrip(" \t\n\r")
+    layout = text.startswith('{"edges":[') and body.endswith("}")
+    if not (layout and 0 < end <= start - 8):
+        return None
+    try:  # not JSON, not an object (no .get) or a bad epsilon
+        eps = _epsilon(json.loads(text[end + 8 : start]))
+    except (ValueError, AttributeError, RecursionError):
+        return None
+    xy = _flat_pairs(body[start + 10 : -1], (int, float))
+    edges = None if xy is None else _flat_pairs(text[9:end], (int,))
+    return None if edges is None else (xy, edges, eps)
+
+
+def _read_general(text: str):
+    """``(xy, edges, eps)`` of any graph JSON; the edges stay as read."""
     try:
         obj = json.loads(text)
         raw_pts, raw_edges = obj["points"], obj["edges"]
-        eps = obj.get("meta", {}).get("epsilon", DEFAULT_EPSILON)
-        if type(eps) not in (int, float) or not 0 <= eps <= sys.float_info.max:
-            raise ValueError(
-                f"meta.epsilon must be a finite nonnegative JSON number, got {eps!r}"
-            )
+        eps = _epsilon(obj.get("meta", {}))
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise FormatError(f"bad graph file: {exc}") from exc
-    xy = _build(pair_array, raw_pts, (int, float), "point")
-    real = xy.dtype == np.float64  # a float anywhere makes the set real
+    return _build(pair_array, raw_pts, (int, float), "point"), raw_edges, eps
+
+
+def graph_from_json(text: str) -> Graph:
+    """The graph a graph JSON text holds; the writer's layout takes the fast path."""
+    xy, edges, eps = _read_compact(text) or _read_general(text)
+    real = xy.dtype == np.float64
     ps = _build(PointSet, xy[:, 0], xy[:, 1], float(eps) if real else 0.0)
-    return _build(Graph, ps, _build(pair_array, raw_edges, (int,), "edge"))
+    return _build(Graph, ps, _build(pair_array, edges, (int,), "edge"))
 
 
 def save_graph(g: Graph, path: str, meta: dict | None = None) -> None:

@@ -1,5 +1,7 @@
 """Points CSV parsing, graph JSON round-trips, and SVG output."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -15,6 +17,8 @@ from lgg.geometry import (
     PointSet,
     pair_array,
 )
+import lgg.io
+from lgg.cli import main
 from lgg.graph import Graph, GraphError, random_maximal_lgg
 from lgg.io import (
     FormatError,
@@ -84,8 +88,11 @@ class TestGraphJson:
     @pytest.mark.parametrize("points", ["[[0, 0], [1, 1]]", "[[0.5, 0], [1, 1]]"])
     def test_bad_epsilon_is_named(self, points, eps):
         text = f'{{"points": {points}, "edges": [], "meta": {{"epsilon": {eps}}}}}'
-        with pytest.raises(FormatError, match="meta.epsilon"):
-            graph_from_json(text)
+        compact = '{"edges":[],"meta":{"epsilon":%s},"points":%s}' % (
+            eps, points.replace(" ", ""))
+        want = _error(FormatError, graph_from_json, text)
+        assert want.startswith("bad graph file: meta.epsilon")
+        assert _error(FormatError, graph_from_json, compact) == want
 
     def test_meta_cannot_override_epsilon(self):
         ps = PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
@@ -158,6 +165,170 @@ class TestWriterParity:
         assert graph_from_json(graph_to_json(g, METAS[2])) == g
 
 
+def _outcome(text: str):
+    """What ``graph_from_json`` makes of ``text``: the graph's bytes or the error."""
+    try:
+        g = graph_from_json(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    ps = g.points
+    arrays = (ps.xs, ps.ys, g.edge_array)
+    return "graph", ps.eps, *((a.dtype, a.tobytes()) for a in arrays)
+
+
+def _general(text: str):
+    """The outcome of the general reader alone, with the fast path switched off.
+
+    A leading space also leaves the fast path, but it moves the position that
+    a ``json`` syntax error names by one.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lgg.io, "_read_compact", lambda text: None)
+        return _outcome(text)
+
+
+@pytest.fixture
+def loads_lengths(monkeypatch):
+    """Lengths of the texts that ``json.loads`` is given during the test."""
+    lengths = []
+    loads = json.loads
+
+    def record(text, *args, **kwargs):
+        lengths.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", record)
+    return lengths
+
+
+#: small documents in the writer's layout, one per coordinate kind
+CANONICAL = [
+    '{"edges":[[0,1],[1,2]],"meta":{"epsilon":0.0},"points":[[0,0],[3,1],[5,-2]]}\n',
+    '{"edges":[[0,2]],"meta":{"epsilon":1e-9,"g":"x"},"points":[[0.5,1],[-2,3e2],[4,7]]}'
+    "\n",
+]
+#: inserted and replacement characters: JSON's structural, number and literal
+#: characters, its whitespace, and characters that are whitespace to Python only
+ALPHABET = sorted(set('0123456789-+.eE,:[]{}" \t\n\rtrufalsNInyéx\x0c\xa0'))
+
+
+class TestCompactReader:
+    """The writer's own layout reads exactly as ``json.loads`` reads it."""
+
+    @pytest.mark.parametrize("meta", METAS, ids=["none", "flat", "nested"])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_writer_output_takes_the_fast_path(self, name, meta, loads_lengths):
+        text = graph_to_json(GRAPHS[name], meta)
+        assert _outcome(text) == _outcome(graph_to_json(GRAPHS[name]))
+        assert max(loads_lengths) < len(text)
+        assert _outcome(text) == _general(text) == _outcome(" " + text)
+
+    @pytest.mark.parametrize("text", CANONICAL, ids=["int", "real"])
+    def test_single_byte_edits_read_as_the_general_reader(self, text):
+        """Every deletion, insertion and replacement of one character."""
+        assert _outcome(text)[0] == "graph"
+        edits = [text[:k] + text[k + 1:] for k in range(len(text))]
+        edits += [text[:k] + c + text[k + j:] for k in range(len(text) + 1)
+                  for j in (0, 1) for c in ALPHABET]
+        for edited in edits:
+            assert _outcome(edited) == _general(edited), edited
+
+    def test_grid_document_never_reaches_the_general_reader(
+        self, tmp_path, loads_lengths
+    ):
+        path = tmp_path / "grid.json"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["construct", "grid", "--side", "60", "-o", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        loads_lengths.clear()
+        g = graph_from_json(text)
+        assert g.n == 3600 and loads_lengths
+        assert max(loads_lengths) < len(text)
+
+    @pytest.mark.parametrize("meta", [
+        pytest.param({"note": ',"points":[[0,0]]'}, id="points-in-string"),
+        pytest.param({"note": ',"meta":'}, id="meta-in-string"),
+        pytest.param({"a": 1, "points": [[0, 0]]}, id="points-key"),
+        pytest.param({"a": 1, "meta": {"epsilon": -1}}, id="meta-key"),
+    ])
+    def test_meta_that_looks_like_the_layout(self, meta, loads_lengths):
+        g = GRAPHS["corners"]
+        text = graph_to_json(g, meta)
+        assert graph_from_json(text) == g
+        assert max(loads_lengths) < len(text)
+
+    def test_duplicate_points_key_keeps_the_last(self):
+        text = ('{"edges":[[0,1]],"meta":{"epsilon":0.0},"points":[[0,0]],'
+                '"points":[[1,1],[2,5]]}')
+        g = graph_from_json(text)
+        assert [(p.x, p.y) for p in g.points] == [(1, 1), (2, 5)]
+        assert _outcome(text) == _general(text)
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\r\n", "   ", " \t\n\r\n"])
+    def test_trailing_whitespace(self, tail, loads_lengths):
+        g = GRAPHS["random-1"]
+        text = graph_to_json(g).rstrip("\n") + tail
+        assert graph_from_json(text) == g
+        assert max(loads_lengths) < len(text)
+
+    @pytest.mark.parametrize("points, edges", [
+        ("[]", "[]"),
+        ("[[-7,3]]", "[]"),
+        ("[[0,0],[1,1]]", "[]"),
+        ("[]", "[[0,1]]"),
+        ("[5]", "[]"),
+        ("[[0,0],[1,1]]", "[7]"),
+        ("[[0,0],[1,1]]", "[[0,1]5]"),
+    ], ids=["empty", "one-point", "no-edges", "edge-without-points", "bare-point",
+            "bare-edge", "number-after-pair"])
+    def test_short_arrays(self, points, edges):
+        text = '{"edges":%s,"meta":{"epsilon":0.0},"points":%s}\n' % (edges, points)
+        assert _outcome(text) == _general(text)
+
+    def test_number_spellings(self):
+        text = '{"edges":[[0,1]],"meta":{"epsilon":0},"points":[[-0,1E5],[1e-3,2]]}'
+        g = graph_from_json(text)
+        assert g.points.xs.tobytes() == np.array([0.0, 1e-3]).tobytes()  # -0 is int 0
+        assert g.points.ys.tolist() == [1e5, 2.0] and g.points.eps == 0.0
+        assert _outcome(text) == _general(text)
+
+    @pytest.mark.parametrize("points, edges, message", [
+        ("[[0,0],[1,9223372036854775808]]", "[]",
+         "point 1: (1, 9223372036854775808) out of range"),
+        ("[[0,0],[1.5,1%s]]" % ("0" * 400), "[]", "point 1: (1.5, 1000000"),
+        ("[[0,0],[1,1%s]]" % ("0" * 5000), "[]", "Exceeds the limit (4300 digits)"),
+        ("[[0,0],[1,1]]", "[[0,9223372036854775808]]",
+         "edge 0: (0, 9223372036854775808) out of range"),
+        ("[[0,0],[1,1]]", "[[0,1.0]]", "edge 0: expected int, got [0, 1.0]"),
+        ("[[0,0],[1,1]]", "[[0,1e0]]", "edge 0: expected int, got [0, 1.0]"),
+        ("[[0,0],[1,1]]", "[[0,true]]", "edge 0: expected int, got [0, True]"),
+    ], ids=["int-point", "real-point", "long-int-point", "int-edge", "float-edge", "exp-edge",
+            "true-edge"])
+    def test_bad_values_name_their_pair(self, points, edges, message):
+        text = '{"edges":%s,"meta":{"epsilon":0.0},"points":%s}' % (edges, points)
+        assert _outcome(text) == _general(text)
+        assert message in _outcome(text)[1]
+
+    @pytest.mark.parametrize("eps", ["NaN", "1e400", "true", '"0"', "[]"])
+    def test_bad_epsilon(self, eps):
+        text = '{"edges":[],"meta":{"epsilon":%s},"points":[[0.5,0]]}' % eps
+        assert _outcome(text) == _general(text)
+        assert "meta.epsilon" in _outcome(text)[1]
+
+    def test_non_dict_meta(self):
+        text = '{"edges":[],"meta":[1],"points":[[0,0]]}'
+        assert _outcome(text) == _general(text)
+        assert _outcome(text)[0] == "error"
+
+    def test_non_ascii_meta(self, loads_lengths):
+        text = ('{"edges":[[0,1]],"meta":{"epsilon":0.25,"name":"café ∑"},'
+                '"points":[[0,0.5],[1,1]]}\n')
+        g = graph_from_json(text)
+        assert g.points.eps == 0.25 and g.edges == ((0, 1),)
+        assert max(loads_lengths) < len(text)
+        assert _outcome(text) == _general(text)
+
+
 class TestPairArray:
     @pytest.mark.parametrize("items, message", [
         pytest.param([(0, 1), (1, 2**63)],
@@ -199,6 +370,12 @@ def _error(error, make, *args) -> str:
     return str(exc.value)
 
 
+def _compact(points, edges, eps=0.0) -> str:
+    """The graph JSON text in the writer's layout: sorted keys, no spaces."""
+    obj = {"edges": edges, "meta": {"epsilon": eps}, "points": points}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestOutsidePairs:
     """Every entry point names a malformed pair list in the same words."""
 
@@ -210,6 +387,8 @@ class TestOutsidePairs:
         want = message.format(name="edge", kinds="int")
         assert _error(GraphError, Graph, ps, items) == want
         assert _error(FormatError, graph_from_json, text) == want
+        compact = _compact([[0, 0], [1, 1], [2, 3]], items)
+        assert _error(FormatError, graph_from_json, compact) == want
         assert _error(ValueError, pair_array, items, (int,), "edge") == want
 
     @pytest.mark.parametrize("items, message",
@@ -221,6 +400,7 @@ class TestOutsidePairs:
         assert _error(ValueError, PointSet.of, items) == want
         want = message.format(name="point", kinds="int or float")
         assert _error(FormatError, graph_from_json, text) == want
+        assert _error(FormatError, graph_from_json, _compact(items, [])) == want
 
     def test_graph_takes_python_ints_and_integer_arrays(self):
         ps = PointSet.of([(0, 0), (1, 1), (2, 3)])

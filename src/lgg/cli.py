@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``construct grid|path|fan|cycle|ladder``, ``verify``,
-``extremal``, ``indepset``, ``scaling``, ``emit-svg``.  Exit status 0 on
-success, 1 on invariant violations (an invalid graph under ``verify`` or
-``indepset``, a built graph or witness that fails verification, a points
-file that is not strictly monotonic for ``path``, too many points for
-``extremal``) and on running out of memory, 2 on usage or parse errors,
+``extremal``, ``indepset``, ``scaling``, ``emit-svg``.  ``indepset``
+verifies its input first.  Exit status 0 on success, 1 on invariant
+violations (an invalid graph under ``verify`` or ``indepset``, a built
+graph or witness that fails verification, a points file that is not
+strictly monotonic for ``path``, too many points for ``extremal``) and on
+running out of memory, 2 on usage or parse errors,
 including files that cannot be opened or decoded, coordinates out of range
 (beyond 2**30 for integers, non-finite, beyond 2**256 or nonzero below
 2**-384 for reals) and out-of-range construction flags (``--side`` above
@@ -159,6 +160,12 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 def _cmd_indepset(args: argparse.Namespace) -> int:
     g = io.load_graph(args.graph)
+    if bad := verify(g).violations:
+        v = bad[0]
+        raise InvariantViolation(
+            f"{args.graph}: not a valid LGG: {len(bad)} conflicts, first at vertex"
+            f" {v.u} with neighbors {v.v} and {v.w} ({v.kind})"
+        )
     result = independent_set(g)
     print(
         f"size={len(result.vertices)} guarantee={result.guarantee} "

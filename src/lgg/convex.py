@@ -105,20 +105,12 @@ def centrally_symmetric_ladder(n: int) -> Construction:
     """
     if n < 12 or n % 4 != 0:
         raise ConstructionError("ladder needs n >= 12 with n divisible by 4")
-    half = n // 4
-    rows = range(-half, half)
+    h = n // 2  # point k + h is point k's twin on the right-hand line
+    rows = range(-n // 4, n // 4)
     pts = [(-1, i) for i in rows] + [(1, i) for i in rows]
-    left = {i: k for k, i in enumerate(rows)}
-    right = {i: k + n // 2 for k, i in enumerate(rows)}
-    edges = []
-    for i in rows:
-        if i + 2 < half:
-            edges.append((left[i], left[i + 2]))
-            edges.append((right[i], right[i + 2]))
-        if i + 1 < half:
-            edges.append((left[i], right[i + 1]))
-        if i - 1 >= -half:
-            edges.append((left[i], right[i - 1]))
+    edges = [(k, k + 2) for line in (0, h) for k in range(line, line + h - 2)]
+    edges += [(k, k + h + 1) for k in range(h - 1)]
+    edges += [(k, k + h - 1) for k in range(1, h)]
     # The clamped diagonal families yield 2n - 6 edges, above the 2n - 8
     # the index ranges nominally promise.
     return _checked("centrally_symmetric_ladder", PointSet.of(pts), edges)

@@ -74,49 +74,42 @@ def longest_monotone_subsequence(ps: PointSet) -> MonotoneSeq:
 
     Points are taken in abscissa order; the longer of the longest
     non-decreasing and longest non-increasing ordinate subsequences wins
-    (non-decreasing on ties).  O(n log n).
+    (non-decreasing on ties).  A non-increasing run of ``ys`` is a
+    non-decreasing run of ``-ys``.  O(n log n).
     """
-    xs, ys = ps.xs, ps.ys
-    up_order = np.lexsort((ys, xs)).tolist()
-    down_order = np.lexsort((-ys, xs)).tolist()
-    up = _longest_weak_nondec(ys[up_order].tolist())
-    down = _longest_weak_nondec((-ys)[down_order].tolist())
-    if len(up) >= len(down):
-        return MonotoneSeq(
-            tuple(up_order[k] for k in up), Direction.NON_DECREASING
-        )
-    return MonotoneSeq(
-        tuple(down_order[k] for k in down), Direction.NON_INCREASING
-    )
+    runs = []
+    for direction, ys in (
+        (Direction.NON_DECREASING, ps.ys),
+        (Direction.NON_INCREASING, -ps.ys),
+    ):
+        order = np.lexsort((ys, ps.xs)).tolist()
+        run = _longest_weak_nondec(ys[order].tolist())
+        runs.append(MonotoneSeq(tuple(order[k] for k in run), direction))
+    return max(runs, key=lambda seq: len(seq.indices))  # the first on ties
 
 
 def monotone_greedy_is(g: Graph, seq: MonotoneSeq) -> IndependentSetResult:
     """Terminal-vertex peeling over the induced subgraph on ``seq``.
 
-    Repeatedly moves the first remaining vertex of the sequence into the
-    independent set and deletes it together with its unique neighbor.  In a
-    valid LGG the terminal vertex of a monotone sequence has degree at most
-    one; more signals an invalid input graph.
+    One pass in sequence order: each vertex not yet removed is the terminal
+    vertex of what remains, so it is chosen, and it is removed together
+    with its remaining neighbor in the sequence.  In a valid LGG the
+    terminal vertex of a monotone sequence has degree at most one; more
+    signals an invalid input graph.
     """
-    members = set(seq.indices)
-    adj = {
-        u: {v for v in g.adjacency[u] if v in members} for u in seq.indices
-    }
-    alive = list(seq.indices)
-    removed: set[int] = set()
-    chosen: set[int] = set()
-    for u in alive:
-        if u in removed:
+    left = set(seq.indices)  # neither chosen nor removed yet
+    chosen = []
+    for u in seq.indices:
+        if u not in left:
             continue
-        nbrs = adj[u] - removed
+        nbrs = left.intersection(g.adjacency[u])
         if len(nbrs) > 1:
             raise InvariantViolation(
                 f"terminal vertex {u} has degree {len(nbrs)} > 1; "
                 "input graph is not a valid LGG on a monotone sequence"
             )
-        chosen.add(u)
-        removed.add(u)
-        removed.update(nbrs)
+        chosen.append(u)
+        left -= nbrs | {u}
     assert 2 * len(chosen) >= len(seq.indices)
     return IndependentSetResult(
         frozenset(chosen), Method.MONOTONE_GREEDY, math.ceil(len(seq.indices) / 2)
@@ -157,8 +150,7 @@ def independent_set(g: Graph) -> IndependentSetResult:
     The reported guarantee is the constructive floor ceil(ceil(sqrt(n))/2),
     valid for any LGG on n points.
     """
-    n = g.n
-    guarantee = math.ceil(math.ceil(math.sqrt(n)) / 2)
+    guarantee = math.ceil(math.ceil(math.sqrt(g.n)) / 2)
     seq = longest_monotone_subsequence(g.points)
     mono = monotone_greedy_is(g, seq)
     plain = _plain_greedy(g)
@@ -172,7 +164,10 @@ def neighborhood_coloring(g: Graph, u: int) -> dict[int, int]:
 
     In a valid LGG every neighbor of u has at most two further neighbors
     inside N(u), so the induced degree is at most 3 and four colors always
-    suffice.  Returns vertex -> color (colors 0..3).
+    suffice.  Returns vertex -> color (colors 0..3).  The induced degree
+    check is the only one needed: a neighbor colored before u sees at most
+    two colored vertices, so u gets a color of at most 3, and a neighbor
+    colored after u sees at most three.
     """
     nbrs = set(g.adjacency[u])
     members = {u} | nbrs
@@ -187,8 +182,5 @@ def neighborhood_coloring(g: Graph, u: int) -> dict[int, int]:
     colors: dict[int, int] = {}
     for v in cluster:
         used = {colors[w] for w in induced[v] if w in colors}
-        c = next(c for c in range(len(cluster) + 1) if c not in used)
-        colors[v] = c
-    if max(colors.values()) > 3:
-        raise InvariantViolation("neighborhood required more than 4 colors")
+        colors[v] = next(c for c in range(4) if c not in used)
     return colors

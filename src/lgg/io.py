@@ -18,7 +18,8 @@ which go into an int64 array, or float64 if a float is present.  Every
 other file, and every one that path cannot read as ``json.loads`` would (a
 value beyond int64, a float endpoint, a bad ``meta``), goes through the
 general reader: ``json.loads`` of the whole text, then one
-``geometry.pair_array`` call per array, the library's one conversion of
+``geometry.pair_array`` call per array (that of the edges made by
+``Graph``), the library's one conversion of
 outside pairs: arrays of two-element arrays, coordinates ints or floats,
 endpoints ints, never booleans, each checked over the whole array, with the
 items walked only when a check fails, to name the first bad one.  So only
@@ -188,7 +189,7 @@ def graph_from_json(text: str) -> Graph:
     xy, edges, eps = _read_compact(text) or _read_general(text)
     real = xy.dtype == np.float64
     ps = _build(PointSet, xy[:, 0], xy[:, 1], float(eps) if real else 0.0)
-    return _build(Graph, ps, _build(pair_array, edges, (int,), "edge"))
+    return _build(Graph, ps, edges)
 
 
 def save_graph(g: Graph, path: str, meta: dict | None = None) -> None:

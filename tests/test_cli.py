@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import lgg.graph
 import lgg.grid
 from lgg.cli import FitError, ScalingSample, fit_exponent, main
-from lgg.io import load_graph
+from lgg.geometry import PointSet
+from lgg.graph import Graph
+from lgg.io import load_graph, save_graph
 
 
 def run(args):
@@ -143,6 +145,20 @@ class TestIndepset:
                        '"edges": [[0, 1], [1, 2], [0, 2]]}')
         assert run(["indepset", str(bad)]) == 1
         assert "not a valid LGG" in capsys.readouterr().err
+
+    def test_graph_that_fails_verify_exits_1(self, tmp_path, capsys):
+        # K4: no monotone terminal vertex has two neighbours, but verify
+        # finds conflicts, so the input is refused before the peel
+        ps = PointSet.of([(0, 0), (10, 1), (3, 10), (-7, 9)])
+        path = tmp_path / "k4.json"
+        save_graph(Graph(ps, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+                   str(path))
+        assert run(["indepset", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {path}: not a valid LGG: ")
+        assert "first at vertex" in line
 
 
 class TestScaling:

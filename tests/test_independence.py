@@ -59,6 +59,15 @@ class TestLongestMonotone:
         seq = longest_monotone_subsequence(ps)
         assert len(seq.indices) == 40
 
+    def test_tie_goes_to_non_decreasing(self):
+        # both directions have length 2: (0,0),(1,1) up and (1,1),(2,0) down
+        ps = PointSet.of([(0, 0), (1, 1), (2, 0)])
+        seq = longest_monotone_subsequence(ps)
+        assert seq.direction is Direction.NON_DECREASING
+        assert len(seq.indices) == 2
+        mirrored = longest_monotone_subsequence(PointSet.of([(0, 0), (1, -1), (2, 0)]))
+        assert mirrored.direction is Direction.NON_DECREASING
+
 
 class TestMonotoneGreedy:
     def test_half_of_sequence(self):

@@ -13,6 +13,7 @@ hold it to a scalar reference of the per-edge disk definition
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,52 +210,69 @@ def _candidate_keys(seed: int, count: int) -> np.ndarray:
     return _mix(np.arange(count, dtype=np.uint64) ^ base)
 
 
-# Candidates examined per vectorised scan step of ``_insert``.
-_SCAN_CHUNK = 256
+# Live candidates taken, smallest keys first, per block of ``_greedy``.
+_BLOCK = 1 << 14
+# Cells of the (rows, n) arrays of one narrowing step of ``_narrow``; the
+# temporaries stay in cache, whatever n and the number of new edges.
+_NARROW_CELLS = 1 << 14
 
 
-def _insert(xs, ys, eps: float, us, vs) -> np.ndarray:
-    """Greedy conflict-free insertion of the candidates (us[t], vs[t]) in order.
-
-    ``alive[a, b]`` holds while the edge (a, b) conflicts with no edge
-    already inserted at ``a``.  Conflicts only accumulate, so a dead entry
-    stays dead and a candidate (u, v) is inserted iff ``alive[u, v]`` and
-    ``alive[v, u]``.  Candidates are scanned in chunks; after each insertion
-    rows u and v are narrowed with one vectorised predicate over all points.
-    Returns the inserted candidates, in order, as an int64 (m, 2) array.
-    """
-    n = xs.shape[0]
-    alive = np.ones((n, n), dtype=bool)
-    flat = alive.reshape(-1)
-    fwd = us * n + vs
-    bwd = vs * n + us
-    total = fwd.shape[0]
-    taken: list[int] = []
-    t = 0
-    while t < total:
-        stop = t + _SCAN_CHUNK
-        live = flat[fwd[t:stop]] & flat[bwd[t:stop]]
-        k = int(live.argmax())
-        if not live[k]:
-            t = stop
-            continue
-        t += k
-        u, v = int(us[t]), int(vs[t])
-        taken.append(t)
+def _narrow(alive, xs, ys, eps: float, us, vs) -> None:
+    """Narrow rows u and v of ``alive`` for the vertex-disjoint new edges uv."""
+    rows = max(1, _NARROW_CELLS // xs.shape[0])
+    for s in range(0, us.shape[0], rows):
+        u, v = us[s : s + rows], vs[s : s + rows]
         # the edge uv kills (u, b) unless b is outside the disk on uv
         # (vectors b - u, b - v) and v is outside the disk on ub (u - v,
         # b - v); likewise (v, b) with u and v swapped.  Negation is exact,
         # so each test decides as the scalar one; at b = u or v the edge
         # terms may wrap in int64, but ``outside`` is False there.  (Two
         # ``conflict_free`` calls make four disk tests and ran ~30% slower.)
-        ex, ey = xs[u] - xs[v], ys[u] - ys[v]
-        dxu, dyu = xs - xs[u], ys - ys[u]
-        dxv, dyv = xs - xs[v], ys - ys[v]
+        ex, ey = (xs[u] - xs[v])[:, None], (ys[u] - ys[v])[:, None]
+        dxu, dyu = xs - xs[u, None], ys - ys[u, None]
+        dxv, dyv = xs - xs[v, None], ys - ys[v, None]
         outside = outside_disk(dxu, dyu, dxv, dyv, eps)
         alive[u] &= outside & outside_disk(ex, ey, dxv, dyv, eps)
         alive[v] &= outside & outside_disk(-ex, -ey, dxu, dyu, eps)
-        t += 1
-    return np.column_stack((us[taken], vs[taken]))
+
+
+def _greedy(xs, ys, eps: float, keys) -> np.ndarray:
+    """Greedy conflict-free insertion of the pairs i < j in ascending key order.
+
+    ``keys`` holds one distinct key per pair, in ``np.triu_indices`` order.
+    ``alive[a, b]`` holds while the edge (a, b) conflicts with no edge
+    already inserted at ``a``; a pair (u, v) is live while ``alive[u, v]``
+    and ``alive[v, u]``, and once dead stays dead.  The live pairs are
+    taken ``_BLOCK`` smallest keys at a time, and each block is decided in
+    rounds: a round inserts every ready pair (the earliest live pair at
+    both its endpoints), narrows their rows, and drops the dead pairs.
+    Returns the inserted pairs as an int64 (m, 2) array.
+    """
+    n = xs.shape[0]
+    alive = np.ones((n, n), dtype=bool)
+    # the pair i < j as the flat index i * n + j, in np.triu_indices order
+    pairs = np.flatnonzero(~np.tri(n, dtype=bool))
+    taken = []
+    while keys.shape[0]:
+        part = np.argpartition(keys, min(_BLOCK, keys.shape[0] - 1))
+        block, rest = part[:_BLOCK], part[_BLOCK:]
+        us, vs = np.divmod(pairs[block[np.argsort(keys[block])]], n)
+        # every pair of the block is live here, in key order
+        while us.shape[0]:
+            at = np.arange(us.shape[0])
+            first = np.full(n, us.shape[0])
+            np.minimum.at(first, us, at)
+            np.minimum.at(first, vs, at)
+            ready = (first[us] == at) & (first[vs] == at)
+            taken.append(np.column_stack((us[ready], vs[ready])))
+            _narrow(alive, xs, ys, eps, us[ready], vs[ready])
+            live = alive[us, vs] & alive[vs, us]
+            us, vs = us[live], vs[live]
+        pairs = pairs[rest]
+        # alive[i, j] and, through a transposed copy, alive[j, i]
+        live = alive.reshape(-1)[pairs] & alive.T.reshape(-1)[pairs]
+        pairs, keys = pairs[live], keys[rest[live]]
+    return np.concatenate(taken)
 
 
 def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:
@@ -263,18 +281,25 @@ def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:
     The candidate order is a permutation of all C(n, 2) pairs obtained by
     sorting on 64-bit splitmix64 keys (key_i = mix(mix(seed) xor i), with
     the usual 0x9E3779B97F4A7C15 / 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB
-    constants), ties broken by candidate index.  Each candidate is inserted
-    iff it conflicts with no already-inserted edge sharing an endpoint, so
-    the result is a valid LGG and no absent edge can be added.
+    constants), ties broken by candidate index; ``seed`` is any integer,
+    Python or numpy, taken modulo 2**64.  Each candidate is inserted iff it
+    conflicts with no already-inserted edge sharing an endpoint, so the
+    result is a valid LGG and no absent edge can be added.
+
+    The candidates are decided in rounds, not one at a time, as greedy
+    maximal independent set and matching can be (Blelloch, Fineman & Shun,
+    SPAA 2012).  A candidate is ready when it is the earliest live one at
+    both its endpoints; each round inserts every ready candidate at once.
+    The result is the sequential one: every edge inserted at a vertex
+    precedes every candidate still live there, so each kill comes from an
+    earlier edge, and a ready candidate has no undecided earlier candidate
+    at either endpoint.  Ready candidates share no vertex, so their updates
+    commute.  A 1,024-point set takes 19-27 rounds for its 523,776 candidates.
     """
     n = len(ps)
     if n < 2:
         raise ValueError("need at least two points")
-    keys = _candidate_keys(seed, n * (n - 1) // 2)
     # splitmix64 is a bijection and mix(seed) xor i is distinct for each i,
-    # so keys never tie and the unstable sort already gives the index order
-    order = np.argsort(keys)
-    cand_i, cand_j = np.triu_indices(n, 1)
-    us = cand_i[order]
-    vs = cand_j[order]
-    return Graph(ps, _insert(ps.xs, ps.ys, ps.eps, us, vs))
+    # so keys never tie and need no tie rule in ``_greedy``
+    keys = _candidate_keys(operator.index(seed), n * (n - 1) // 2)
+    return Graph(ps, _greedy(ps.xs, ps.ys, ps.eps, keys))

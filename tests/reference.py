@@ -10,6 +10,9 @@ vectorisation, so that a test can hold the fast library path to it:
   graph, against ``lgg.graph.verify``'s per-vertex pair pass; it decides
   and labels every conflict with ``disk_side`` alone, so it shares no
   predicate with the library;
+* ``random_maximal_direct``: the seeded greedy insertion, one candidate
+  at a time with ``in_closed_disk``, against
+  ``lgg.graph.random_maximal_lgg``'s rounds;
 * ``edges_conflict``: the two-edge conflict as a boolean, through the
   public ``lgg.geometry.conflict_kind``;
 * ``feasibility_gap``: the vertical room the analysis of the grid walk
@@ -97,6 +100,40 @@ def verify_direct(g: Graph) -> ConflictReport:
     triples = sorted(found)
     kinds = [conflict_label(pts[u], pts[v], pts[w]) for u, v, w in triples]
     return ConflictReport(tuple(Violation(*t, k) for t, k in zip(triples, kinds)))
+
+
+def random_maximal_direct(ps, seed: int) -> tuple[tuple[int, int], ...]:
+    """Sequential oracle for ``random_maximal_lgg``: the seeded greedy order,
+    one candidate at a time, decided with ``in_closed_disk`` alone."""
+
+    def mix(z):
+        z = (z + 0x9E3779B97F4A7C15) & (2**64 - 1)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+        return z ^ (z >> 31)
+
+    n = len(ps)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    base = mix(seed)
+    order = sorted(range(len(pairs)), key=lambda i: (mix(base ^ i), i))
+    adj = {i: [] for i in range(n)}
+    edges = []
+    for idx in order:
+        u, v = pairs[idx]
+        ok = all(
+            not in_closed_disk(ps[u], ps[v], ps[w])
+            and not in_closed_disk(ps[u], ps[w], ps[v])
+            for w in adj[u]
+        ) and all(
+            not in_closed_disk(ps[v], ps[u], ps[w])
+            and not in_closed_disk(ps[v], ps[w], ps[u])
+            for w in adj[v]
+        )
+        if ok:
+            adj[u].append(v)
+            adj[v].append(u)
+            edges.append((u, v))
+    return tuple(sorted(edges))
 
 
 def edges_conflict(p: Point, q: Point, r: Point) -> bool:

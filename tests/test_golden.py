@@ -62,6 +62,22 @@ def test_random_maximal_lgg_real():
     )
 
 
+def test_random_maximal_lgg_integer_many_blocks():
+    ps = random_int_points(random.Random(4), 300, 10**6)  # 44,850 candidates
+    g = random_maximal_lgg(ps, 7)
+    assert sha256(graph_to_json(g)) == (
+        "03066de0b42d9d83ae35e866f47a5ed91bd416e0dfb98980466e41d6ce71e5d3"
+    )
+
+
+def test_random_maximal_lgg_real_many_blocks():
+    ps = real_points(random.Random(6), 200)  # 19,900 candidates
+    g = random_maximal_lgg(ps, 8)
+    assert sha256(graph_to_json(g)) == (
+        "248cddd8259566929c369bb7f7930b6ada05fbbdf9ec8041e65a62e2470b638d"
+    )
+
+
 def test_max_lgg_witness():
     lattice = [(x, y) for x in range(6) for y in range(6)]
     ps = PointSet.of(sorted(random.Random(3).sample(lattice, 10)))

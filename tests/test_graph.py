@@ -28,7 +28,7 @@ from lgg.graph import (
     random_maximal_lgg,
     verify,
 )
-from reference import in_closed_disk, verify_direct
+from reference import random_maximal_direct, verify_direct
 
 
 class TestGraph:
@@ -270,39 +270,6 @@ class TestSplitmix:
             0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-def _oracle_maximal(ps, seed):
-    """Order-respecting greedy insertion using only the disk predicate."""
-
-    def mix(z):
-        z = (z + 0x9E3779B97F4A7C15) & (2**64 - 1)
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
-        return z ^ (z >> 31)
-
-    n = len(ps)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    base = mix(seed)
-    order = sorted(range(len(pairs)), key=lambda i: (mix(base ^ i), i))
-    adj = {i: [] for i in range(n)}
-    edges = []
-    for idx in order:
-        u, v = pairs[idx]
-        ok = all(
-            not in_closed_disk(ps[u], ps[v], ps[w])
-            and not in_closed_disk(ps[u], ps[w], ps[v])
-            for w in adj[u]
-        ) and all(
-            not in_closed_disk(ps[v], ps[u], ps[w])
-            and not in_closed_disk(ps[v], ps[w], ps[u])
-            for w in adj[v]
-        )
-        if ok:
-            adj[u].append(v)
-            adj[v].append(u)
-            edges.append((u, v))
-    return tuple(sorted(edges))
-
-
 class TestRandomMaximal:
     def test_deterministic(self):
         rng = random.Random(3)
@@ -315,14 +282,14 @@ class TestRandomMaximal:
         for seed in range(10):
             ps = random_int_points(rng, 15, 100)
             got = random_maximal_lgg(ps, seed)
-            assert got.edges == _oracle_maximal(ps, seed)
+            assert got.edges == random_maximal_direct(ps, seed)
 
     def test_kernel_matches_oracle_on_wide_and_degenerate_sets(self):
         from conftest import real_points
 
         rng = random.Random(7)
         ps = random_int_points(rng, 80, 10**6)
-        assert random_maximal_lgg(ps, 11).edges == _oracle_maximal(ps, 11)
+        assert random_maximal_lgg(ps, 11).edges == random_maximal_direct(ps, 11)
 
         # corners and near-corners at +-2**30: int64 dot products up to
         # 2**63 - 2**31 on distinct points
@@ -334,7 +301,7 @@ class TestRandomMaximal:
             ps = PointSet.of(sorted(corners))
             assert ps.xs.dtype == ps.ys.dtype == np.int64
             for seed in range(3):
-                assert random_maximal_lgg(ps, seed).edges == _oracle_maximal(ps, seed)
+                assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
 
         # small lattices: many right angles and collinear triples, with
         # integer and with float coordinates (boundary cases of the band)
@@ -347,7 +314,7 @@ class TestRandomMaximal:
             ):
                 for seed in range(3):
                     got = random_maximal_lgg(ps, seed).edges
-                    assert got == _oracle_maximal(ps, seed)
+                    assert got == random_maximal_direct(ps, seed)
 
         # cocircular n-gons: every inscribed triangle with a diameter side
         # is right-angled, so many tests fall inside the tolerance band
@@ -355,11 +322,70 @@ class TestRandomMaximal:
             angles = [2 * math.pi * k / n for k in range(n)]
             ps = PointSet.of([(math.cos(t), math.sin(t)) for t in angles], 1e-9)
             for seed in range(3):
-                assert random_maximal_lgg(ps, seed).edges == _oracle_maximal(ps, seed)
+                assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
 
         for trial in range(5):
             ps = real_points(rng, 40)
-            assert random_maximal_lgg(ps, trial).edges == _oracle_maximal(ps, trial)
+            assert random_maximal_lgg(ps, trial).edges == random_maximal_direct(ps, trial)
+
+    @pytest.mark.parametrize("case", ["lattice-int", "lattice-float", "cocircular"])
+    def test_matches_oracle_across_blocks(self, case):
+        # more candidates than one block, so the oracle also checks the
+        # block boundaries and blocks decided over many rounds
+        n = 190
+        assert n * (n - 1) // 2 > lgg.graph._BLOCK
+        rng = random.Random(17)
+        coords = sorted(rng.sample([(x, y) for x in range(20) for y in range(20)], n))
+        if case == "lattice-int":
+            ps = PointSet.of(coords)
+        elif case == "lattice-float":
+            ps = PointSet.of([(x * 0.1, y * 0.1) for x, y in coords], 1e-9)
+        else:
+            angles = [2 * math.pi * k / n for k in range(n)]
+            ps = PointSet.of([(math.cos(t), math.sin(t)) for t in angles], 1e-9)
+        for seed in range(2):
+            assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
+
+    @pytest.mark.parametrize("block, cells", [(1, 1), (7, 50), (64, 1000)])
+    def test_block_and_chunk_sizes_keep_the_result(self, monkeypatch, block, cells):
+        # many block boundaries, and narrowing one to a few rows at a time
+        from conftest import real_points
+
+        rng = random.Random(21)
+        sets = [random_int_points(rng, 40, 30), real_points(rng, 40)]
+        want = [[random_maximal_direct(ps, seed) for seed in range(3)] for ps in sets]
+        monkeypatch.setattr(lgg.graph, "_BLOCK", block)
+        monkeypatch.setattr(lgg.graph, "_NARROW_CELLS", cells)
+        for ps, edges in zip(sets, want):
+            assert [random_maximal_lgg(ps, seed).edges for seed in range(3)] == edges
+
+    def test_seed_is_any_integer(self):
+        ps = random_int_points(random.Random(19), 40, 1000)
+        for s in (0, 5, 2**63 - 1):
+            want = random_maximal_lgg(ps, s).edges
+            assert random_maximal_lgg(ps, np.int64(s)).edges == want
+            assert random_maximal_lgg(ps, np.uint64(s)).edges == want
+        # taken modulo 2**64
+        want = random_maximal_lgg(ps, 2**64 - 1).edges
+        assert random_maximal_lgg(ps, -1).edges == want
+        assert random_maximal_lgg(ps, np.int64(-1)).edges == want
+        with pytest.raises(TypeError):
+            random_maximal_lgg(ps, 5.0)
+
+    def test_memory_is_bounded(self):
+        # criterion 5's point set: 523,776 candidates
+        rng = random.Random(505)
+        raw = set()
+        while len(raw) < 1024:
+            raw.add((rng.randrange(0, 2**20), rng.randrange(0, 2**20)))
+        ps = PointSet.of(sorted(raw))
+        tracemalloc.start()
+        try:
+            random_maximal_lgg(ps, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_result_is_valid_and_maximal(self):
         rng = random.Random(9)

@@ -8,7 +8,7 @@ and renders the neighborhood of one center point to an SVG file.
 
 import math
 
-from lgg import GridParams, Mode, build, step_states, verify
+from lgg import GridParams, Mode, build, neighbors_q1, verify
 from lgg.grid import certify
 from lgg.io import graph_to_svg, save_graph
 
@@ -16,9 +16,9 @@ from lgg.io import graph_to_svg, save_graph
 # center point walks counter-clockwise through its first quadrant, always
 # taking the nearest grid point that stays outside the current diametral
 # disk and below its tangent. ``build`` certifies the walk before it
-# builds anything: the grid is an LGG iff the walk's offsets and their
-# reflections are pairwise conflict-free at the center, and it raises
-# ``InvariantViolation`` otherwise. The verifier agrees.
+# builds anything: the grid is an LGG iff the walk's offsets are pairwise
+# conflict-free at the center, and it raises ``InvariantViolation``
+# otherwise. The verifier agrees.
 params = GridParams(g=60)
 graph, stats = build(params)
 print(f"greedy    g=60: {stats.total_edges} edges, certified,"
@@ -32,9 +32,9 @@ print(f"analysis  g=60: {stats_a.total_edges} edges, certified")
 # Look at the walk that every center point shares, as offsets from the
 # center. The edge direction starts nearly horizontal and rises step by
 # step toward 45 degrees.
-for st in step_states(params):
-    deg = math.degrees(st.theta)
-    print(f"  offset ({st.x:2d},{st.y:2d})  angle {deg:6.3f} deg")
+for x, y in neighbors_q1(params):
+    deg = math.degrees(math.atan2(y, x))
+    print(f"  offset ({x:2d},{y:2d})  angle {deg:6.3f} deg")
 
 # Per-center neighbor counts grow with the grid: the walk gets more steps
 # as the initial x-offset s = g/3 grows. ``certify`` counts the edges from

@@ -14,13 +14,11 @@ from .grid import (
     GridBuildStats,
     GridParams,
     Mode,
-    StepState,
     build,
     first_neighbor,
     h_from_eq1,
     neighbors_q1,
     next_neighbor,
-    step_states,
 )
 from .independence import (
     IndependentSetResult,
@@ -46,7 +44,6 @@ __all__ = [
     "MonotoneSeq",
     "Point",
     "PointSet",
-    "StepState",
     "build",
     "build_conflict_graph",
     "centrally_symmetric_ladder",
@@ -64,7 +61,6 @@ __all__ = [
     "neighbors_q1",
     "next_neighbor",
     "random_maximal_lgg",
-    "step_states",
     "verify",
 ]
 

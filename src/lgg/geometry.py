@@ -336,12 +336,17 @@ def _classify_monotonic(ps: PointSet) -> ConvexClass | None:
     accordingly (x-axis swaps upper/lower, y-axis swaps right/left).  A
     kind holds when no step's signs oppose its ``_STEP_SIGNS`` entry, and
     strictly when they all equal it (float differences are exact in sign).
+    Two kinds hold weakly only when every step is horizontal, or every one
+    vertical; a reflection maps such a run onto a translate of itself, so
+    no single kind fits it.
     """
     steps = np.sign(np.diff([ps.xs, ps.ys]))
     signs = np.array(list(_STEP_SIGNS.values()))[:, :, None]
-    # Prefer a strictly satisfied kind over a weakly satisfied earlier one.
+    # Prefer a strictly satisfied kind over a weakly satisfied earlier one;
+    # only the one-point set satisfies several strictly.
     for holds, strict in ((steps == signs, True), (steps != -signs, False)):
-        if (kinds := holds.all(axis=(1, 2))).any():
+        kinds = holds.all(axis=(1, 2))
+        if kinds.sum() == 1 or (strict and kinds.any()):
             return ConvexClass(list(_STEP_SIGNS)[int(kinds.argmax())], strict)
     return None
 

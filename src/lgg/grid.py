@@ -5,22 +5,24 @@ quadrant by one walk over integer offsets (x, y) from the center: it
 starts from a nearly horizontal first offset and turns counter-clockwise
 until the edge direction reaches 45 degrees.  Every step places the next
 offset strictly outside the current edge's diametral disk and strictly
-below the tangent to that disk at the current offset (``conflict_free``
-at the center), which is exactly what keeps the union locally Gabriel.
-
-Two step rules are provided: ``GREEDY_FEASIBLE`` takes the feasible offset
-nearest to the current one, ``ANALYSIS_GUIDED`` takes the closed-form step
-(x-offset ceil(c1 * sqrt(x_i)), y-offset floor(h_i + 1) with h_i the
-positive root of h^2 + x_i tan(theta_i) h - d_i (x_i - d_i)).  The walk is
-translated to every center; the third-quadrant edges are its point
-reflection, which makes edge symmetry exact by construction.
+below the tangent to that disk at the current offset, which is exactly
+what keeps the union locally Gabriel.  One column rule, ``_columns``,
+decides that step in both modes: ``GREEDY_FEASIBLE`` takes the feasible
+offset nearest to the current one, ``ANALYSIS_GUIDED`` takes the
+closed-form step (x-offset ceil(c1 * sqrt(x_i)), y-offset floor(h_i + 1)
+with h_i the positive root of h^2 + x_i tan(theta_i) h - d_i (x_i - d_i)).
+The walk is translated to every center; the third-quadrant edges are its
+point reflection, which makes edge symmetry exact by construction.
 
 The walk W alone decides the grid (``certify``).  If every offset lies in
 1 <= y <= x <= g // 3, no index wraps and every vertex's neighbor offsets
 lie in +-W; in integer arithmetic the conflict test depends only on
 offsets, and every center holds all of +-W.  So the grid is a locally
-Gabriel graph iff the 2|W| offsets +-W are pairwise ``conflict_free`` at
-the origin, and its edge count is a sum over W.  Neither needs the graph.
+Gabriel graph iff +-W is pairwise ``conflict_free`` at the origin (the
+one call to it here), and the pairs of W decide that: w1 . w2 > 0 on W,
+so both disk tests of (w1, -w2) read w1 . w2 + |w|^2 > 0, and a pair of
+-W has the dot products of its mirror in W.  The edge count is a sum
+over W.  Neither needs the graph.
 """
 
 from __future__ import annotations
@@ -77,18 +79,6 @@ class GridParams:
 
 
 @dataclass(frozen=True)
-class StepState:
-    """Quantities of one walk step at offset (x, y) from the center."""
-
-    x: int
-    y: int
-    theta: float
-    d: int | None  # x-step to the next neighbor, None at the last step
-    h: float | None
-    h_prime: float | None
-
-
-@dataclass(frozen=True)
 class GridBuildStats:
     q1_count: int  # first-quadrant neighbors of every center
     total_edges: int
@@ -104,18 +94,24 @@ def h_from_eq1(x_i: int, tan_theta_i: float, d_i: int) -> float:
     return (math.sqrt(b * b + 4.0 * d_i * (x_i - d_i)) - b) / 2.0
 
 
-def _feasible(qx, qy, rx, ry):
-    """Exact feasibility of offset r after offset q; ints or int64 arrays."""
-    return (
-        (ry >= 1)  # open first quadrant, angle <= pi/4
-        & (ry <= rx)
-        # counter-clockwise progress past q
-        & (qx * ry - qy * rx > 0)
-        # the edges 0q and 0r coexist: r strictly outside the closed disk
-        # with diameter 0q, and strictly below the tangent to that disk at
-        # q (angle at q < pi/2, that is, q outside the disk on 0r)
-        & conflict_free(0, 0, qx, qy, rx, ry)
-    )
+def _columns(qx, qy, x):
+    """Bounds (lo, hi) of the feasible y of an offset (x, y) after q.
+
+    ``x`` is a column 1 <= x < q.x, an int or an int64 array.  No other
+    column holds a feasible r: q outside the disk on 0 r means
+    q . r < |q|^2, while r left of 0 q with r.x >= q.x gives q . r > |q|^2.
+    In column x, r outside the disk on 0 q means
+    2y - q.y > sqrt(q.y^2 + 4x(q.x - x)), as the lower root is negative
+    (this also puts r left of 0 q, which crosses the column inside the
+    disk); then y <= x and q . r < |q|^2 (r below the tangent at q).
+    """
+    disc = qy * qy + 4 * x * (qx - x)
+    t = np.sqrt(disc).astype(np.int64)  # isqrt(disc), after a +-1 fix-up
+    t -= t * t > disc
+    t += (t + 1) * (t + 1) <= disc
+    # at q.y = 0, q . r < |q|^2 is x < q.x, and the bound below is >= x
+    hi = np.minimum(x, (qx * qx + qy * qy - qx * x - 1) // max(qy, 1))
+    return (qy + t + 2) // 2, hi
 
 
 def next_neighbor(q: tuple[int, int], params: GridParams) -> tuple[int, int] | None:
@@ -130,25 +126,14 @@ def next_neighbor(q: tuple[int, int], params: GridParams) -> tuple[int, int] | N
         if params.c1 * math.sqrt(qx) > qx - 1:
             return None
         d = math.ceil(params.c1 * math.sqrt(qx))
-        r = qx - d, qy + math.floor(h_from_eq1(qx, qy / qx, d) + 1.0)
-        return r if _feasible(qx, qy, *r) else None
+        rx, ry = qx - d, qy + math.floor(h_from_eq1(qx, qy / qx, d) + 1.0)
+        lo, hi = _columns(qx, qy, rx)
+        return (rx, ry) if lo <= ry <= hi else None
 
     # Greedy: the feasible offset nearest to q, ties broken by smaller y,
-    # then smaller x.  Every feasible r has 1 <= r.x < q.x: q outside the
-    # disk on 0 r means q . r < |q|^2, while r left of 0 q with r.x >= q.x
-    # would give r.y > q.y and so q . r > |q|^2.  In column r.x = x the
-    # feasible y form one interval [lo, hi]: r outside the disk on 0 q means
-    # 2y - q.y > sqrt(q.y^2 + 4x(q.x - x)), as the lower root is negative
-    # (this also puts r left of 0 q, which crosses the column inside the
-    # disk); then y <= x and q . r < |q|^2.
+    # then smaller x
     x = np.arange(1, qx, dtype=np.int64)
-    disc = qy * qy + 4 * x * (qx - x)
-    t = np.sqrt(disc).astype(np.int64)  # isqrt(disc), after a +-1 fix-up
-    t -= t * t > disc
-    t += (t + 1) * (t + 1) <= disc
-    lo = (qy + t + 2) // 2
-    # at q.y = 0, q . r < |q|^2 is x < q.x, and the bound below is >= x
-    hi = np.minimum(x, (qx * qx + qy * qy - qx * x - 1) // max(qy, 1))
+    lo, hi = _columns(qx, qy, x)
     ok = lo <= hi
     if not ok.any():
         return None
@@ -175,18 +160,6 @@ def neighbors_q1(params: GridParams) -> list[tuple[int, int]]:
     return walk
 
 
-def step_states(params: GridParams) -> list[StepState]:
-    """Per-step analysis quantities along the Q1 walk."""
-    seq = neighbors_q1(params)
-    states = []
-    for (x, y), (next_x, _) in zip(seq, seq[1:]):  # y >= 1 and 0 < d < x
-        d = x - next_x
-        h = h_from_eq1(x, y / x, d)
-        states.append(StepState(x, y, math.atan2(y, x), d, h, d * x / y))
-    x, y = seq[-1]
-    return states + [StepState(x, y, math.atan2(y, x), None, None, None)]
-
-
 def certify(params: GridParams) -> GridBuildStats:
     """Certify the grid from its Q1 walk alone, and count its edges.
 
@@ -203,7 +176,8 @@ def _certify(g: int, walk: list[tuple[int, int]]) -> GridBuildStats:
             raise InvariantViolation(
                 f"grid walk offset {(x, y)} lies outside 1 <= y <= x <= {s}"
             )
-    offsets = np.array(walk + [(-x, -y) for x, y in walk], dtype=np.int64)
+    # the pairs of W decide all of +-W (module docstring)
+    offsets = np.array(walk, dtype=np.int64)
     i, j = np.triu_indices(len(offsets), 1)
     (ax, ay), (bx, by) = offsets[i].T, offsets[j].T
     if (bad := ~conflict_free(0, 0, ax, ay, bx, by)).any():

@@ -169,18 +169,15 @@ def neighborhood_coloring(g: Graph, u: int) -> dict[int, int]:
     two colored vertices, so u gets a color of at most 3, and a neighbor
     colored after u sees at most three.
     """
-    nbrs = set(g.adjacency[u])
-    members = {u} | nbrs
-    cluster = sorted(members)
-    induced = {v: [w for w in g.adjacency[v] if w in members] for v in cluster}
-    for v in nbrs:
-        if len(induced[v]) > 3:
+    members = {u, *g.adjacency[u]}
+    colors: dict[int, int] = {}
+    for v in sorted(members):
+        near = members.intersection(g.adjacency[v])
+        if v != u and len(near) > 3:
             raise InvariantViolation(
-                f"vertex {v} has induced degree {len(induced[v])} > 3 in the "
+                f"vertex {v} has induced degree {len(near)} > 3 in the "
                 f"neighborhood of {u}; input graph is not a valid LGG"
             )
-    colors: dict[int, int] = {}
-    for v in cluster:
-        used = {colors[w] for w in induced[v] if w in colors}
+        used = {colors[w] for w in near if w in colors}
         colors[v] = next(c for c in range(4) if c not in used)
     return colors

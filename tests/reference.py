@@ -17,9 +17,14 @@ vectorisation, so that a test can hold the fast library path to it:
   public ``lgg.geometry.conflict_kind``;
 * ``feasibility_gap``: the vertical room the analysis of the grid walk
   needs at one step;
+* ``feasible``: the grid step's feasibility, offset by offset, through
+  ``lgg.geometry.conflict_free``, against ``lgg.grid``'s one interval per
+  column in both walk modes;
 * ``box_greedy_step``: the greedy grid step as an argmin over the whole
   box of candidate offsets, against ``lgg.grid.next_neighbor``'s one
   interval per column;
+* ``signed_walk_conflict``: the grid certificate over all 2|W| neighbor
+  offsets +-W of a center, against ``lgg.grid``'s pairs of W alone;
 * ``include_first_max``: an include-first DFS for the maximum independent
   set of a conflict graph, against ``lgg.extremal``'s branch and bound;
 * ``lis_dp``: the O(n^2) dynamic programme for the longest monotone
@@ -37,10 +42,11 @@ from lgg.geometry import (
     INTERIOR,
     CoordinateKindError,
     Point,
+    conflict_free,
     conflict_kind,
 )
 from lgg.graph import ConflictReport, Graph, Violation
-from lgg.grid import _feasible, h_from_eq1
+from lgg.grid import h_from_eq1
 
 
 def disk_side(p: Point, q: Point, r: Point) -> int:
@@ -157,6 +163,20 @@ def feasibility_gap(x_i: int, theta_i: float, d_i: int) -> float:
     return d_i / tan - h_from_eq1(x_i, tan, d_i)
 
 
+def feasible(qx, qy, rx, ry):
+    """Exact feasibility of offset r after offset q; ints or int64 arrays."""
+    return (
+        (ry >= 1)  # open first quadrant, angle <= pi/4
+        & (ry <= rx)
+        # counter-clockwise progress past q
+        & (qx * ry - qy * rx > 0)
+        # the edges 0q and 0r coexist: r strictly outside the closed disk
+        # with diameter 0q, and strictly below the tangent to that disk at
+        # q (angle at q < pi/2, that is, q outside the disk on 0r)
+        & conflict_free(0, 0, qx, qy, rx, ry)
+    )
+
+
 def box_greedy_step(q: tuple[int, int]) -> tuple[int, int] | None:
     """The feasible offset nearest to ``q``, ties to smaller y, then smaller x.
 
@@ -166,12 +186,27 @@ def box_greedy_step(q: tuple[int, int]) -> tuple[int, int] | None:
     qx, qy = q
     rx, ry = np.tril_indices(qx - 1)
     rx, ry = rx + 1, ry + 1
-    ok = _feasible(qx, qy, rx, ry)
+    ok = feasible(qx, qy, rx, ry)
     if not ok.any():
         return None
     rx, ry = rx[ok], ry[ok]
     k = np.lexsort((rx, ry, (rx - qx) ** 2 + (ry - qy) ** 2))[0]
     return int(rx[k]), int(ry[k])
+
+
+def signed_walk_conflict(walk: list[tuple[int, int]]):
+    """First pair of the offsets +-W whose edges from the origin conflict.
+
+    Pairs are taken in the order of the upper triangle over ``W + (-W)``;
+    returns None when every pair coexists.
+    """
+    offsets = walk + [(-x, -y) for x, y in walk]
+    origin = Point(0, 0)
+    for i, a in enumerate(offsets):
+        for b in offsets[i + 1:]:
+            if edges_conflict(origin, Point(*a), Point(*b)):
+                return a, b
+    return None
 
 
 def _clique_cover_bound(adj, avail: int) -> int:

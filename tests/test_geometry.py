@@ -351,6 +351,28 @@ def _angle_at(v, a, b):
     return math.acos(max(-1.0, min(1.0, cosv)))
 
 
+_UR, _UL = ConvexKind.UPPER_RIGHT_MONOTONIC, ConvexKind.UPPER_LEFT_MONOTONIC
+_LR, _LL = ConvexKind.LOWER_RIGHT_MONOTONIC, ConvexKind.LOWER_LEFT_MONOTONIC
+_RIGHT, _LEFT = ConvexKind.RIGHT_HALF_CONVEX, ConvexKind.LEFT_HALF_CONVEX
+# (x sign, y sign) of each reflection and the kinds it swaps
+_REFLECTIONS = {
+    (-1, -1): {_RIGHT: _LEFT, _LEFT: _RIGHT, _UR: _LL, _LL: _UR, _UL: _LR, _LR: _UL},
+    (-1, 1): {_RIGHT: _LEFT, _LEFT: _RIGHT, _UR: _UL, _UL: _UR, _LR: _LL, _LL: _LR},
+    (1, -1): {_UR: _LR, _LR: _UR, _UL: _LL, _LL: _UL},
+}
+
+
+def _classify_reflections(pts):
+    """Class of ``pts``, after asserting that each reflection maps it as
+    ``_REFLECTIONS`` says."""
+    base = classify(PointSet.of(pts))
+    for (fx, fy), swaps in _REFLECTIONS.items():
+        got = classify(PointSet.of([(fx * x, fy * y) for x, y in pts]))
+        want = ConvexClass(swaps.get(base.kind, base.kind), base.strict)
+        assert got == want, (pts, fx, fy)
+    return base
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "coords,kind,strict",
@@ -461,16 +483,6 @@ class TestClassify:
         circle = sorted({(x, s * y) for x, y in roots if x * x + y * y == r * r
                          for s in (1, -1)})
         K = ConvexKind
-        ur, ul = K.UPPER_RIGHT_MONOTONIC, K.UPPER_LEFT_MONOTONIC
-        lr, ll = K.LOWER_RIGHT_MONOTONIC, K.LOWER_LEFT_MONOTONIC
-        right, left = K.RIGHT_HALF_CONVEX, K.LEFT_HALF_CONVEX
-        # (x sign, y sign) of each map and the kinds it swaps; a translation
-        # keeps every kind
-        maps = {
-            (-1, -1): {right: left, left: right, ur: ll, ll: ur, ul: lr, lr: ul},
-            (-1, 1): {right: left, left: right, ur: ul, ul: ur, lr: ll, ll: lr},
-            (1, -1): {ur: lr, lr: ur, ul: ll, ll: ul},
-        }
         seen = set()
         for k in range(400):
             if k % 3 == 0:
@@ -485,27 +497,27 @@ class TestClassify:
                 pts = rng.sample([(x, y) for x in range(side) for y in range(side)],
                                  rng.randint(3, min(10, side * side)))
             rng.shuffle(pts)
-            base = classify(PointSet.of(pts))
+            base = _classify_reflections(pts)
             seen.add(base.kind)
             tx, ty = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
             moved = classify(PointSet.of([(x + tx, y + ty) for x, y in pts]))
             assert moved == base, pts
-            for (fx, fy), swaps in maps.items():
-                got = classify(PointSet.of([(fx * x, fy * y) for x, y in pts]))
-                if base.is_monotonic and not base.strict:
-                    # a weak staircase can satisfy two kinds; the first wins
-                    assert got.is_monotonic and not got.strict, pts
-                else:
-                    want = ConvexClass(swaps.get(base.kind, base.kind), base.strict)
-                    assert got == want, (pts, fx, fy)
         assert seen >= {
-            right,
-            left,
+            K.RIGHT_HALF_CONVEX,
+            K.LEFT_HALF_CONVEX,
             K.CENTRALLY_SYMMETRIC_CONVEX,
             K.ON_COMMON_CIRCLE,
             K.GENERAL_CONVEX,
             K.NON_CONVEX,
         }
+
+    def test_axis_parallel_runs_get_no_monotonic_kind(self):
+        # every step horizontal, or every one vertical: two kinds hold
+        # weakly, and a reflection maps the run onto a translate of itself
+        for xs in ([0, 1], [0, 1, 2], [0, 1, 3, 4, 7]):
+            for run in ([(x, 0) for x in xs], [(0, x) for x in xs]):
+                for pts in (run, run[::-1]):
+                    assert not _classify_reflections(pts).is_monotonic, pts
 
     def test_reflected_triangle_stays_cocircular(self):
         # a triangle with no vertical side is half convex in no orientation

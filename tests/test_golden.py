@@ -6,6 +6,7 @@ a deliberate change of output updates the literal in the same commit.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from lgg.cli import main
 from lgg.extremal import max_lgg
 from lgg.geometry import PointSet
 from lgg.graph import random_maximal_lgg
+from lgg.grid import GridParams, Mode, neighbors_q1
 from lgg.io import graph_to_json
 
 
@@ -86,3 +88,30 @@ def test_max_lgg_witness():
     assert sha256(graph_to_json(result.witness)) == (
         "332e38cde5782feed4b8f9bda3cb198cd1d8eec7bbe5e8a174f22a534f8ec452"
     )
+
+
+@pytest.mark.parametrize(
+    "g, mode, digest",
+    [
+        (300, Mode.GREEDY_FEASIBLE,
+         "8ccd190d4641c8fbeb8c95ee70a73c762e8a42df5dd922adeb8542b653ec6b16"),
+        (300, Mode.ANALYSIS_GUIDED,
+         "b1a82ff6b0684929f820cf8d214bdfed1cf016bf8b222e2440d43ddfa74d5b9e"),
+        (3000, Mode.GREEDY_FEASIBLE,
+         "5edb5ac8b9f83a4e6a0589102ef426e48eadbe9dfca0415000d5cfd3ad3407f5"),
+        (3000, Mode.ANALYSIS_GUIDED,
+         "79ee6eb2572ef252ca786d7714213ff4b2ebe5c2125ba84e46070d31950fac51"),
+        (30000, Mode.GREEDY_FEASIBLE,
+         "29e4ac8b1ab75f14b94e49838aa17663654515c7e36635b0a1273bede197025b"),
+        (30000, Mode.ANALYSIS_GUIDED,
+         "17104295a93812b883024c7dceb243c77c698551a751a594cbe160b70d134a1c"),
+        (55108, Mode.GREEDY_FEASIBLE,
+         "bd430701ee83f133ae1df78dfeb49961ba083e887c14a9a201a654f456082a69"),
+        (55108, Mode.ANALYSIS_GUIDED,
+         "924716a813dd9fd479af1b1eb00328be44289594541653d2b15454040336bdc8"),
+    ],
+    ids=lambda v: v.value if isinstance(v, Mode) else None,
+)
+def test_grid_walk(g, mode, digest):
+    walk = neighbors_q1(GridParams(g=g, mode=mode))
+    assert sha256(json.dumps(walk, separators=(",", ":"))) == digest

@@ -14,16 +14,15 @@ from lgg.grid import (
     GridBuildStats,
     GridParams,
     Mode,
-    _feasible,
+    _certify,
     build,
     certify,
     first_neighbor,
     h_from_eq1,
     neighbors_q1,
     next_neighbor,
-    step_states,
 )
-from reference import box_greedy_step, feasibility_gap
+from reference import box_greedy_step, feasibility_gap, feasible, signed_walk_conflict
 
 
 class TestParams:
@@ -135,7 +134,7 @@ class TestNextNeighbor:
             best = None
             for rx in range(qx - span, qx + span + 1):
                 for ry in range(qy - span, qy + span + 1):
-                    if _feasible(qx, qy, rx, ry):
+                    if feasible(qx, qy, rx, ry):
                         d2 = (rx - qx) ** 2 + (ry - qy) ** 2
                         cand = (d2, ry, rx)
                         if best is None or cand < best:
@@ -148,7 +147,7 @@ class TestNextNeighbor:
     def test_successor_is_feasible(self):
         r = next_neighbor((50, 3), GridParams(g=9))
         assert r is not None
-        assert _feasible(50, 3, *r)
+        assert feasible(50, 3, *r)
 
     def test_greedy_matches_box_reference_on_small_offsets(self):
         params = GridParams(g=9)
@@ -160,6 +159,21 @@ class TestNextNeighbor:
     def test_greedy_walk_matches_box_reference(self, g):
         walk = neighbors_q1(GridParams(g=g))
         assert [box_greedy_step(q) for q in walk] == walk[1:] + [None]
+
+    @pytest.mark.parametrize("c1", [1.01, 1.3, 2.0])
+    def test_analysis_step_matches_feasibility_reference(self, c1):
+        params = GridParams(g=9, c1=c1, mode=Mode.ANALYSIS_GUIDED)
+        steps = 0
+        for qx in range(2, 151):
+            for qy in range(1, qx + 1):
+                want = None
+                if c1 * math.sqrt(qx) <= qx - 1:
+                    d = math.ceil(c1 * math.sqrt(qx))
+                    r = qx - d, qy + math.floor(h_from_eq1(qx, qy / qx, d) + 1.0)
+                    want = r if feasible(qx, qy, *r) else None
+                    steps += want is not None
+                assert next_neighbor((qx, qy), params) == want, (qx, qy)
+        assert steps > 0
 
 
 class TestWalk:
@@ -182,16 +196,22 @@ class TestWalk:
             assert all(a > b for a, b in zip(xs, xs[1:]))
 
     def test_step_states_satisfy_eq1(self):
-        states = step_states(GridParams(g=300))
-        assert (states[0].x, states[0].y) == first_neighbor(GridParams(g=300))
-        for st in states[:-1]:
-            assert st.d is not None and st.h is not None
-            tan = st.y / st.x
-            residual = st.h**2 + st.x * tan * st.h - st.d * (st.x - st.d)
-            assert abs(residual) < 1e-9 * st.x**2
-            assert st.h_prime == pytest.approx(st.d * st.x / st.y)
-            assert st.h_prime > st.h  # tangent leaves room above the disk
-        assert states[-1].d is None
+        walk = neighbors_q1(GridParams(g=300))
+        assert walk[0] == first_neighbor(GridParams(g=300)) and len(walk) >= 2
+        for (x, y), (next_x, _) in zip(walk, walk[1:]):
+            d = x - next_x
+            h = h_from_eq1(x, y / x, d)
+            residual = h**2 + x * (y / x) * h - d * (x - d)
+            assert abs(residual) < 1e-9 * x**2
+            assert d * x / y > h  # tangent leaves room above the disk
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_walk_is_a_strictly_convex_chain(self, mode):
+        # every turn is a strict left turn, so |W| = O(s^(2/3)) (Jarnik 1926)
+        for g in [*range(9, 151), 300, 3000, 30000, MAX_SIDE]:
+            walk = neighbors_q1(GridParams(g=g, mode=mode))
+            for (ax, ay), (bx, by), (cx, cy) in zip(walk, walk[1:], walk[2:]):
+                assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0, (g, walk)
 
 
 def _reference_build(params):
@@ -288,6 +308,29 @@ class TestCertify:
             certify(params)
         with pytest.raises(InvariantViolation, match="conflict at the center"):
             build(params)
+
+    def test_pairs_of_w_decide_all_of_plus_minus_w(self):
+        rng = random.Random(20)
+        passed = failed = 0
+        for k in range(400):
+            s = rng.randint(3, 40)
+            box = [(x, y) for x in range(1, s + 1) for y in range(1, x + 1)]
+            if k % 2:  # a subset of a certified walk is certified
+                walk = neighbors_q1(GridParams(g=3 * s, mode=rng.choice(list(Mode))))
+                walk = rng.sample(walk, rng.randint(1, len(walk)))
+            else:
+                walk = rng.sample(box, rng.randint(1, min(8, len(box))))
+            if (pair := signed_walk_conflict(walk)) is None:
+                assert _certify(3 * s, walk).q1_count == len(walk)
+                passed += 1
+            else:
+                a, b = pair
+                with pytest.raises(InvariantViolation) as err:
+                    _certify(3 * s, walk)
+                want = f"grid walk offsets {a} and {b} conflict at the center"
+                assert str(err.value) == want
+                failed += 1
+        assert passed > 100 and failed > 100
 
     def test_offset_outside_box_raises(self, monkeypatch):
         # x = s + 1 would reach past the grid from the last center

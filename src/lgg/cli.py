@@ -10,7 +10,9 @@ running out of memory, 2 on usage or parse errors,
 including files that cannot be opened or decoded, coordinates out of range
 (beyond 2**30 for integers, non-finite, beyond 2**256 or nonzero below
 2**-384 for reals) and out-of-range construction flags (``--side`` above
-``grid.MAX_SIDE`` among them).
+``grid.MAX_SIDE`` among them).  The constructions take only their size
+(``--side``, ``--n``) and, for the grid, ``--mode``; the grid's theta0 and
+c1 and the circle radius of ``fan`` and ``cycle`` are constants.
 
 The ``scaling`` command counts the edges of the grid for several sides
 from the certified walk (``grid.certify``), building no graph, and emits
@@ -83,12 +85,10 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _grid_params(side: int, args: argparse.Namespace) -> grid.GridParams:
-    """Grid parameters from the command line; a bad value is a usage error."""
+def _grid_params(side: int, mode: str) -> grid.GridParams:
+    """Grid parameters from the command line; a bad side is a usage error."""
     try:
-        return grid.GridParams(
-            g=side, theta0=args.theta0, c1=args.c1, mode=grid.Mode(args.mode)
-        )
+        return grid.GridParams(g=side, mode=grid.Mode(mode))
     except ValueError as exc:
         raise io.FormatError(f"bad grid parameters for --side {side}: {exc}") from exc
 
@@ -100,29 +100,26 @@ _CONVEX = {
 }
 
 
-def _convex(kind: str, args: argparse.Namespace) -> convex.Construction:
-    """A fan, cycle or ladder; a bad --n or --radius is a usage error."""
-    flags = {"n": args.n}
-    if kind != "ladder":
-        flags["radius"] = args.radius
+def _convex(kind: str, n: int) -> convex.Construction:
+    """A fan, cycle or ladder; a bad --n is a usage error."""
     try:
-        return _CONVEX[kind](**flags)
+        return _CONVEX[kind](n)
     except convex.ConstructionError as exc:
-        given = " ".join(f"--{k} {v}" for k, v in flags.items())
-        raise io.FormatError(f"bad {kind} parameters {given}: {exc}") from exc
+        raise io.FormatError(f"bad {kind} parameters --n {n}: {exc}") from exc
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "grid":
-        g, stats = grid.build(_grid_params(args.side, args))
+        params = _grid_params(args.side, args.mode)
+        g, stats = grid.build(params)
         meta = {
             "generator": "grid",
             "parameters": {
                 "side": args.side,
                 "mode": args.mode,
-                "theta0": args.theta0,
-                "c1": args.c1,
+                "theta0": params.theta0,
+                "c1": params.c1,
             },
         }
         _write_out(io.graph_to_json(g, meta), args.output)
@@ -131,7 +128,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if kind == "path":
         cons = convex.monotonic_path(io.load_points(args.points, args.epsilon))
     else:
-        cons = _convex(kind, args)
+        cons = _convex(kind, args.n)
     meta = {"generator": cons.name, "parameters": {"n": len(cons.points)}}
     _write_out(io.graph_to_json(cons.graph, meta), args.output)
     return 0
@@ -183,7 +180,8 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     if len(sides) < 2:
         raise io.FormatError("scaling needs at least two grid sides")
     rows = []
-    for params in [_grid_params(side, args) for side in sides]:  # all checked first
+    # every side is checked before the first walk
+    for params in [_grid_params(side, args.mode) for side in sides]:
         stats = grid.certify(params)
         rows.append((params.g, ScalingSample(params.g**2, stats.total_edges)))
     fit = fit_exponent([sample for _, sample in rows])
@@ -236,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         k = kinds.add_parser(name, help=hlp)
         k.add_argument("--n", type=int, required=True)
-        if name != "ladder":
-            k.add_argument("--radius", type=float, default=convex.DEFAULT_RADIUS)
     for k in kinds.choices.values():
         k.add_argument("-o", "--output", default=None, help="output graph JSON")
 
@@ -256,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-o", "--output", default=None)
     for k in (cg, s):
         k.add_argument("--mode", choices=["greedy", "analysis"], default="greedy")
-        k.add_argument("--theta0", type=float, default=grid.GridParams.theta0)
-        k.add_argument("--c1", type=float, default=grid.GridParams.c1)
 
     g = sub.add_parser("emit-svg", help="render a graph to static SVG")
     g.add_argument("graph")

@@ -4,9 +4,9 @@ Each builder returns a ``Construction``: the point set, the graph, and the
 convex class of the points.  ``ConstructionError`` means the input was
 rejected; a built graph that fails the verifier raises ``InvariantViolation``.
 
-The real-coordinate builders (fan, cycle) place points on circles of a
-large default radius so that all conflict margins dwarf the floating-point
-tolerance.
+The real-coordinate builders (fan, cycle) take only their size and place
+their points on a circle of the fixed radius ``RADIUS`` = 2**20, large
+enough that all conflict margins dwarf the floating-point tolerance.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DEFAULT_EPSILON, MAX_REAL_COORD, ConvexClass, PointSet, classify
+from .geometry import DEFAULT_EPSILON, ConvexClass, PointSet, classify
 from .graph import Graph, checked
 
-DEFAULT_RADIUS = float(2**20)
+RADIUS = float(2**20)
 
 
 class ConstructionError(ValueError):
-    """Input rejected: bad size, bad radius, or a point set of the wrong class."""
+    """Input rejected: bad size, or a point set of the wrong class."""
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,10 @@ def _checked(name: str, ps: PointSet, edges) -> Construction:
     return Construction(name, ps, checked(ps, edges), classify(ps))
 
 
-def _on_circle(radius: float, step: float, count: int) -> list[tuple[float, float]]:
-    """``count`` points at angles 0, step, 2 step, ... on a circle about 0."""
-    # keeps squared distances clear of float64 overflow and underflow
-    if not 1.0 / MAX_REAL_COORD <= radius <= MAX_REAL_COORD:
-        raise ConstructionError(
-            f"radius must be finite and in [2**-256, 2**256], got {radius!r}"
-        )
+def _on_circle(step: float, count: int) -> list[tuple[float, float]]:
+    """``count`` points at angles 0, step, 2 step, ... on the circle of ``RADIUS``."""
     return [
-        (radius * math.cos(k * step), radius * math.sin(k * step)) for k in range(count)
+        (RADIUS * math.cos(k * step), RADIUS * math.sin(k * step)) for k in range(count)
     ]
 
 
@@ -64,7 +59,7 @@ def monotonic_path(ps: PointSet) -> Construction:
     return Construction("monotonic_path", ps, checked(ps, edges), cls)
 
 
-def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
+def half_convex_fan(n: int) -> Construction:
     """Quarter-circle star plus path on a right half convex set; 2n - 3 edges.
 
     Points 0..n-2 sit equally spaced on the first-quadrant arc of a circle
@@ -75,7 +70,7 @@ def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     # a boundary conflict under the closed-disk convention
     if n < 4:
         raise ConstructionError("half_convex_fan needs n >= 4")
-    pts = _on_circle(radius, (math.pi / 2) / (n - 2), n - 1)
+    pts = _on_circle((math.pi / 2) / (n - 2), n - 1)
     pts.append((0.0, 0.0))
     center = n - 1
     edges = [(k, k + 1) for k in range(n - 2)]
@@ -83,7 +78,7 @@ def half_convex_fan(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     return _checked("half_convex_fan", PointSet.of(pts, DEFAULT_EPSILON), edges)
 
 
-def circle_cycle(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
+def circle_cycle(n: int) -> Construction:
     """Cycle through n equally spaced points on a circle; n edges.
 
     Tight for points on a common circle: no vertex can hold more than one
@@ -91,7 +86,7 @@ def circle_cycle(n: int, radius: float = DEFAULT_RADIUS) -> Construction:
     """
     if n < 3:
         raise ConstructionError("circle_cycle needs n >= 3")
-    pts = PointSet.of(_on_circle(radius, 2.0 * math.pi / n, n), DEFAULT_EPSILON)
+    pts = PointSet.of(_on_circle(2.0 * math.pi / n, n), DEFAULT_EPSILON)
     edges = [(k, (k + 1) % n) for k in range(n)]
     return _checked("circle_cycle", pts, edges)
 

@@ -31,6 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,12 +51,16 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class GridParams:
-    """Construction parameters of a g x g grid."""
+    """Construction parameters of a g x g grid: its side and the walk's mode.
+
+    The walk starts at angle ``theta0`` = 1.74e-3 and the analysis-guided
+    step uses ``c1`` = 1.01; both are fixed constants of the construction.
+    """
 
     g: int
-    theta0: float = 1.74e-3
-    c1: float = 1.01
     mode: Mode = Mode.GREEDY_FEASIBLE
+    theta0: ClassVar[float] = 1.74e-3
+    c1: ClassVar[float] = 1.01
 
     def __post_init__(self) -> None:
         # numpy ints pass as Python ints; a float side would fail far off, in build
@@ -67,10 +72,6 @@ class GridParams:
             raise ValueError("grid side must be at least 9")
         if self.g > MAX_SIDE:
             raise ValueError(f"grid side must be at most {MAX_SIDE}")
-        if not 0.0 < self.theta0 < math.pi / 4:
-            raise ValueError("theta0 must lie in (0, pi/4)")
-        if not 1.0 < self.c1 < math.inf:
-            raise ValueError("c1 must be finite and exceed 1")
 
     @property
     def s(self) -> int:
@@ -122,10 +123,9 @@ def next_neighbor(q: tuple[int, int], params: GridParams) -> tuple[int, int] | N
     """
     qx, qy = q
     if params.mode is Mode.ANALYSIS_GUIDED:
-        # ends when ceil(c1 sqrt(x)) >= x; tested before ceil, which a huge c1 overflows
-        if params.c1 * math.sqrt(qx) > qx - 1:
-            return None
         d = math.ceil(params.c1 * math.sqrt(qx))
+        if d >= qx:
+            return None
         rx, ry = qx - d, qy + math.floor(h_from_eq1(qx, qy / qx, d) + 1.0)
         lo, hi = _columns(qx, qy, rx)
         return (rx, ry) if lo <= ry <= hi else None

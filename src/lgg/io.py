@@ -26,9 +26,10 @@ items walked only when a check fails, to name the first bad one.  So only
 the general reader raises a parse error, and its messages are the same for
 every layout.  ``Graph`` takes the int64 edge array as it is, so no list is
 scanned twice; range and duplicate checks are left to ``PointSet`` and
-``Graph``.  The CSV reader checks each row as a ``Point`` so that a bad
-value names its line.  Every malformed input raises ``FormatError`` naming
-the file and the line, point, edge or array at fault.
+``Graph``.  The CSV reader checks each row as a ``Point``, and against the
+rows before it for a duplicate, so that a bad value or a repeated point
+names its line.  Every malformed input raises ``FormatError`` naming the
+file and the line, point, edge or array at fault.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
         raise FormatError("no points in file")
     real = any("." in t or "e" in t.lower() for _, x, y in rows for t in (x, y))
     num, eps = (float, epsilon) if real else (int, 0.0)
-    coords = []
+    line_of: dict[tuple, int] = {}  # -0.0 and 0.0 are one key, as in PointSet
     for lineno, x, y in rows:
         try:  # a bad value names its line
             p = Point(num(x), num(y), eps)
         except (ValueError, TypeError, OverflowError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        coords.append((p.x, p.y))
-    return _build(PointSet.of, coords, eps)
+        if (first := line_of.setdefault((p.x, p.y), lineno)) != lineno:
+            raise FormatError(f"line {lineno}: duplicates line {first} {(p.x, p.y)}")
+    return _build(PointSet.of, list(line_of), eps)
 
 
 def load_points(path: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:

@@ -1,6 +1,5 @@
 """Extremal constructions on convex and monotone point sets."""
 
-import math
 import random
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 import lgg.convex
 from conftest import monotonic_convex_set, strictly_monotonic_set
 from lgg.convex import (
+    RADIUS,
     ConstructionError,
     centrally_symmetric_ladder,
     circle_cycle,
@@ -15,7 +15,7 @@ from lgg.convex import (
     monotonic_path,
 )
 from lgg.geometry import ConvexKind, PointSet, classify
-from lgg.graph import verify
+from lgg.graph import Graph, verify
 
 
 class TestMonotonicPath:
@@ -84,11 +84,6 @@ class TestFan:
         # n = 3 degenerates to a right angle at the center
         with pytest.raises(ConstructionError):
             half_convex_fan(3)
-        with pytest.raises(ConstructionError):
-            half_convex_fan(8, radius=0.0)
-        for radius in (math.nan, math.inf):
-            with pytest.raises(ConstructionError, match="finite"):
-                half_convex_fan(8, radius=radius)
 
 
 class TestCycle:
@@ -112,19 +107,18 @@ class TestCycle:
     def test_bad_inputs(self):
         with pytest.raises(ConstructionError):
             circle_cycle(2)
-        for radius in (math.nan, -math.inf, -1.0):
-            with pytest.raises(ConstructionError, match="radius"):
-                circle_cycle(5, radius=radius)
 
 
 @pytest.mark.parametrize("build", [half_convex_fan, circle_cycle])
 def test_radius_bounds(build):
-    for radius in (2.0**-256, 2.0**256):
-        for n in (4, 64, 1000):
-            assert verify(build(n, radius=radius).graph).valid
-    for radius in (2.0**-257, 2.0**257, 1e-300, 1e300):
-        with pytest.raises(ConstructionError, match="radius"):
-            build(64, radius=radius)
+    for n in (4, 64, 1000):
+        cons = build(n)
+        ps = cons.points
+        # the limits of real coordinates; a power of two scales points exactly
+        for scale in (2.0**256 / RADIUS, 2.0**-256 / RADIUS):
+            scaled = PointSet(ps.xs * scale, ps.ys * scale, ps.eps)
+            assert verify(Graph(scaled, cons.graph.edge_array)).valid
+            assert classify(scaled) == cons.claimed_class
 
 
 class TestLadder:

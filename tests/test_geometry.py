@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import centrally_symmetric_convex_set, random_int_points
-from lgg.convex import circle_cycle, half_convex_fan
+from lgg.convex import RADIUS, circle_cycle, half_convex_fan
 from lgg.geometry import (
     BOUNDARY,
     INTERIOR,
@@ -546,11 +546,14 @@ class TestClassify:
         assert got == ConvexClass(ConvexKind.CENTRALLY_SYMMETRIC_CONVEX, True)
 
     def test_extreme_radius_cycles_stay_cocircular(self):
-        # the circle test's degree-six terms would leave float64 range here
+        # the circle test's degree-six terms would leave float64 range here;
+        # a power of two scales points exactly
         for radius in (2.0**200, 2.0**-200):
+            scale = radius / RADIUS
             for n, kind in ((9, ConvexKind.ON_COMMON_CIRCLE),
                             (10, ConvexKind.CENTRALLY_SYMMETRIC_CONVEX)):
-                got = classify(circle_cycle(n, radius).points)
+                ps = circle_cycle(n).points
+                got = classify(PointSet(ps.xs * scale, ps.ys * scale, ps.eps))
                 assert got == ConvexClass(kind, True)
 
     def test_single_point_and_pair(self):

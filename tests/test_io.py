@@ -53,6 +53,11 @@ class TestPointsCsv:
             parse_points_csv("1,2,3\n")
         with pytest.raises(FormatError):
             parse_points_csv("a,b\n")
+        # a duplicate names both lines, not point indices; -0.0 equals 0.0
+        with pytest.raises(FormatError, match=r"^line 5: duplicates line 2 \(0, 0\)$"):
+            parse_points_csv("# header\n0,0\n\n1,1\n0,0\n")
+        with pytest.raises(FormatError, match=r"^line 2: duplicates line 1 "):
+            parse_points_csv("0.0,0.0\n-0.0,0.0\n")
 
 
 class TestGraphJson:

@@ -35,8 +35,7 @@ for n in (5, 16, 64):
 # Points on a common circle admit at most n edges: the cycle is tight.
 for n in (4, 16, 256):
     cyc = circle_cycle(n)
-    degrees = {cyc.graph.degree(v) for v in range(n)}
-    assert degrees == {2}
+    assert {len(nbrs) for nbrs in cyc.graph.adjacency} == {2}
     print(f"cycle:  n={n:3d}  edges={len(cyc.graph.edges):3d}  (bound n)")
 
 # Centrally symmetric convex sets admit at most 2n - 3 edges; the ladder

@@ -47,5 +47,5 @@ for g in (30, 90, 150, 3000):
 small, _ = build(GridParams(g=30))
 save_graph(small, "grid30.json", {"generator": "grid", "side": 30})
 with open("grid30.svg", "w", encoding="utf-8") as fh:
-    fh.write(graph_to_svg(small, width=900))
+    fh.write(graph_to_svg(small))
 print("wrote grid30.json and grid30.svg")

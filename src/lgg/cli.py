@@ -12,7 +12,9 @@ including files that cannot be opened or decoded, coordinates out of range
 2**-384 for reals) and out-of-range construction flags (``--side`` above
 ``grid.MAX_SIDE`` among them).  The constructions take only their size
 (``--side``, ``--n``) and, for the grid, ``--mode``; the grid's theta0 and
-c1 and the circle radius of ``fan`` and ``cycle`` are constants.
+c1 and the circle radius of ``fan`` and ``cycle`` are constants, as are the
+tolerance of a real-coordinate points CSV (``geometry.DEFAULT_EPSILON``) and
+the SVG width (``io.SVG_WIDTH``).
 
 The ``scaling`` command counts the edges of the grid for several sides
 from the certified walk (``grid.certify``), building no graph, and emits
@@ -29,8 +31,7 @@ from typing import Sequence
 
 from . import convex, grid, io
 from .extremal import max_lgg
-from .geometry import DEFAULT_EPSILON
-from .graph import InvariantViolation, verify
+from .graph import InvariantViolation, checked, verify
 from .independence import independent_set
 
 
@@ -126,7 +127,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"n={g.n} edges={stats.total_edges}", file=sys.stderr)
         return 0
     if kind == "path":
-        cons = convex.monotonic_path(io.load_points(args.points, args.epsilon))
+        cons = convex.monotonic_path(io.load_points(args.points))
     else:
         cons = _convex(kind, args.n)
     meta = {"generator": cons.name, "parameters": {"n": len(cons.points)}}
@@ -147,7 +148,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
-    ps = io.load_points(args.points, args.epsilon)
+    ps = io.load_points(args.points)
     result = max_lgg(ps)
     print(f"max_edges={result.max_edges}")
     print(f"nodes_explored={result.nodes_explored}")
@@ -156,13 +157,10 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_indepset(args: argparse.Namespace) -> int:
-    g = io.load_graph(args.graph)
-    if bad := verify(g).violations:
-        v = bad[0]
-        raise InvariantViolation(
-            f"{args.graph}: not a valid LGG: {len(bad)} conflicts, first at vertex"
-            f" {v.u} with neighbors {v.v} and {v.w} ({v.kind})"
-        )
+    try:
+        g = checked(io.load_graph(args.graph))
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{args.graph}: {exc}") from exc
     result = independent_set(g)
     print(
         f"size={len(result.vertices)} guarantee={result.guarantee} "
@@ -207,7 +205,7 @@ def _cmd_emit_svg(args: argparse.Namespace) -> int:
         if not (0 <= i < g.n and 0 <= j < g.n):
             raise io.FormatError(f"--disk {i},{j}: no such vertex in {g.n} points")
         disk = (i, j)
-    _write_out(io.graph_to_svg(g, args.width, disk), args.output)
+    _write_out(io.graph_to_svg(g, disk), args.output)
     return 0
 
 
@@ -225,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = kinds.add_parser("path", help="path on a strictly monotonic set")
     cp.add_argument("--points", required=True, help="points CSV file")
-    cp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
     for name, hlp in (
         ("fan", "quarter-circle star plus path (2n-3 edges)"),
@@ -242,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extremal", help="exact maximum LGG on a small point set")
     e.add_argument("--points", required=True)
-    e.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
     i = sub.add_parser("indepset", help="independent set of a valid LGG")
     i.add_argument("graph")
@@ -256,19 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("emit-svg", help="render a graph to static SVG")
     g.add_argument("graph")
     g.add_argument("--disk", default=None, help="i,j: draw that edge's disk")
-    g.add_argument("--width", type=int, default=800)
     g.add_argument("-o", "--output", default=None)
 
     return top
-
-
-def _check_flags(args: argparse.Namespace) -> None:
-    """Range checks of the flags argparse only converts; a bad one is a usage error."""
-    eps = getattr(args, "epsilon", 0.0)
-    if not 0.0 <= eps < math.inf:
-        raise io.FormatError(f"--epsilon must be finite and nonnegative, got {eps!r}")
-    if getattr(args, "width", 1) < 1:
-        raise io.FormatError(f"--width must be a positive integer, got {args.width}")
 
 
 _HANDLERS = {
@@ -285,7 +271,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_flags(args)
         return _HANDLERS[args.command](args)
     except (io.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

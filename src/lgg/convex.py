@@ -33,7 +33,7 @@ class Construction:
 
 
 def _checked(name: str, ps: PointSet, edges) -> Construction:
-    return Construction(name, ps, checked(ps, edges), classify(ps))
+    return Construction(name, ps, checked(Graph(ps, edges)), classify(ps))
 
 
 def _on_circle(step: float, count: int) -> list[tuple[float, float]]:
@@ -56,7 +56,7 @@ def monotonic_path(ps: PointSet) -> Construction:
             f" (strict={cls.strict})"
         )
     edges = [(i, i + 1) for i in range(len(ps) - 1)]
-    return Construction("monotonic_path", ps, checked(ps, edges), cls)
+    return Construction("monotonic_path", ps, checked(Graph(ps, edges)), cls)
 
 
 def half_convex_fan(n: int) -> Construction:

@@ -176,5 +176,5 @@ def max_lgg(ps: PointSet) -> ExtremalResult:
     """Exact maximum LGG edge count with a verifier-checked witness."""
     cg = build_conflict_graph(ps)
     best, nodes = max_independent_candidates(cg)
-    witness = checked(ps, [cg.candidates[a] for a in best])
+    witness = checked(Graph(ps, [cg.candidates[a] for a in best]))
     return ExtremalResult(len(best), witness, nodes)

@@ -99,9 +99,6 @@ class Graph:
         nbrs, ptr = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(nbrs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
@@ -175,14 +172,13 @@ def verify(g: Graph) -> ConflictReport:
     return ConflictReport(tuple(Violation(*t, k) for t, k in zip(found, kinds)))
 
 
-def checked(points: PointSet, edges) -> Graph:
-    """``Graph(points, edges)``; raises ``InvariantViolation`` unless it verifies."""
-    graph = Graph(points, edges)
+def checked(graph: Graph) -> Graph:
+    """``graph``; raises ``InvariantViolation`` naming a conflict unless it verifies."""
     if bad := verify(graph).violations:
         v = bad[0]
         raise InvariantViolation(
-            f"built graph has {len(bad)} conflicts, first at vertex {v.u}"
-            f" with neighbors {v.v} and {v.w} ({v.kind})"
+            f"not a valid LGG: {len(bad)} conflict{'s' * (len(bad) > 1)}, first at"
+            f" vertex {v.u} with neighbors {v.v} and {v.w} ({v.kind})"
         )
     return graph
 

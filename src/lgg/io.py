@@ -1,8 +1,10 @@
 """File formats: points CSV, graph JSON, and a static SVG emitter.
 
 Points CSV holds one ``x,y`` pair per line with optional ``#`` comments.
-Integer coordinates are parsed exactly; a decimal point anywhere in the
-file switches the whole file to real mode with a caller-supplied epsilon.
+Integer coordinates are parsed exactly; a decimal point or exponent anywhere
+in the file switches the whole file to real mode with the tolerance
+``geometry.DEFAULT_EPSILON``.  Both readers skip a leading UTF-8 byte-order
+mark.  An SVG is always ``SVG_WIDTH`` pixels wide.
 
 Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 (array of [i, j], i < j, lexicographically sorted) and ``meta``
@@ -44,6 +46,10 @@ from .geometry import DEFAULT_EPSILON, Point, PointSet, pair_array
 from .graph import Graph
 
 
+# Width in pixels of every SVG; its height keeps the drawing's aspect ratio.
+SVG_WIDTH = 800
+
+
 class FormatError(ValueError):
     """Unparseable points or graph file."""
 
@@ -56,20 +62,21 @@ def _build(make, *args):
         raise FormatError(str(exc)) from exc
 
 
-def _in_file(path: str, parse, *args):
-    """``parse(text, *args)`` on the file's text; errors name the file."""
-    with open(path, encoding="utf-8") as fh:
+def _in_file(path: str, parse):
+    """``parse(text)`` on the file's text; errors name the file."""
+    # utf-8-sig drops a leading byte-order mark, which RFC 8259 lets a parser ignore
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
-        return parse(text, *args)
+        return parse(text)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
+def parse_points_csv(text: str) -> PointSet:
     rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -82,7 +89,7 @@ def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
     if not rows:
         raise FormatError("no points in file")
     real = any("." in t or "e" in t.lower() for _, x, y in rows for t in (x, y))
-    num, eps = (float, epsilon) if real else (int, 0.0)
+    num, eps = (float, DEFAULT_EPSILON) if real else (int, 0.0)
     line_of: dict[tuple, int] = {}  # -0.0 and 0.0 are one key, as in PointSet
     for lineno, x, y in rows:
         try:  # a bad value names its line
@@ -94,8 +101,8 @@ def parse_points_csv(text: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
     return _build(PointSet.of, list(line_of), eps)
 
 
-def load_points(path: str, epsilon: float = DEFAULT_EPSILON) -> PointSet:
-    return _in_file(path, parse_points_csv, epsilon)
+def load_points(path: str) -> PointSet:
+    return _in_file(path, parse_points_csv)
 
 
 def graph_to_json(g: Graph, meta: dict | None = None) -> str:
@@ -203,11 +210,7 @@ def load_graph(path: str) -> Graph:
     return _in_file(path, graph_from_json)
 
 
-def graph_to_svg(
-    g: Graph,
-    width: int = 800,
-    disk_edge: tuple[int, int] | None = None,
-) -> str:
+def graph_to_svg(g: Graph, disk_edge: tuple[int, int] | None = None) -> str:
     """Static SVG of the graph, optionally with one edge's diametral disk."""
     xs = g.points.xs.astype(np.float64).tolist()
     ys = g.points.ys.astype(np.float64).tolist()
@@ -215,7 +218,7 @@ def graph_to_svg(
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0) or 1.0
     margin = 0.05 * span
-    scale = width / (span + 2 * margin)
+    scale = SVG_WIDTH / (span + 2 * margin)
 
     def sx(x: float) -> float:
         return round((x - x0 + margin) * scale, 3)
@@ -226,8 +229,8 @@ def graph_to_svg(
 
     height = round((y1 - y0 + 2 * margin) * scale, 3)
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {SVG_WIDTH} {height}">'
     ]
     if disk_edge is not None:
         i, j = disk_edge
@@ -243,7 +246,7 @@ def graph_to_svg(
             f'x2="{sx(xs[j])}" y2="{sy(ys[j])}" '
             'stroke="#356" stroke-width="1"/>'
         )
-    rad = max(1.5, round(0.004 * width, 1))
+    rad = round(0.004 * SVG_WIDTH, 1)
     for x, y in zip(xs, ys):
         out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{rad}" fill="#222"/>')
     out.append("</svg>")

@@ -157,9 +157,8 @@ class TestIndepset:
         assert run(["indepset", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        (line,) = err.splitlines()
-        assert line.startswith(f"error: {path}: not a valid LGG: ")
-        assert "first at vertex" in line
+        assert err == (f"error: {path}: not a valid LGG: 4 conflicts, first at"
+                       " vertex 1 with neighbors 0 and 3 (interior)\n")
 
 
 class TestScaling:
@@ -235,11 +234,15 @@ class TestEmitSvg:
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
-        # theta0, c1 and the circle radius are constants, not flags
+        # theta0, c1, the circle radius, the CSV tolerance and the SVG width
+        # are constants, not flags
         for args in (["frobnicate"],
                      ["construct", "grid", "--side", "30", "--c1", "2"],
                      ["scaling", "--sides", "30,60", "--theta0", "0.1"],
-                     ["construct", "fan", "--n", "6", "--radius", "1"]):
+                     ["construct", "fan", "--n", "6", "--radius", "1"],
+                     ["construct", "path", "--points", "p.csv", "--epsilon", "0.1"],
+                     ["extremal", "--points", "p.csv", "--epsilon", "0.1"],
+                     ["emit-svg", "g.json", "--width", "900"]):
             with pytest.raises(SystemExit) as exc:
                 run(args)
             assert exc.value.code == 2
@@ -268,7 +271,7 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "name, content, args",
-        [
+        [pytest.param(*case, id=case[0]) for case in [
             ("short-point", '{"points": [[1], [2, 3]], "edges": []}', ["verify"]),
             ("duplicate-csv", "0,0\n1,1\n0,0\n", ["extremal", "--points"]),
             ("empty-points", '{"points": [], "edges": []}', ["verify"]),
@@ -305,52 +308,36 @@ class TestUsage:
              ' "meta": {"epsilon": true}}', ["verify"]),
             ("string-epsilon", '{"points": [[0.0, 0.0], [1.0, 1.0]], "edges": [],'
              ' "meta": {"epsilon": "1e-9"}}', ["verify"]),
-            pytest.param("huge-epsilon", '{"points": [[0.0, 0.0], [1.0, 1.0]], '
-                         '"edges": [], "meta": {"epsilon": 1' + "0" * 400 + '}}',
-                         ["verify"], id="huge-epsilon"),
+            ("huge-epsilon", '{"points": [[0.0, 0.0], [1.0, 1.0]], '
+             '"edges": [], "meta": {"epsilon": 1' + "0" * 400 + '}}', ["verify"]),
             ("negative-epsilon", '{"points": [[0, 0], [1, 1]], "edges": [],'
              ' "meta": {"epsilon": -1}}', ["verify"]),
             ("nan-epsilon", '{"points": [[0, 0], [1, 1]], "edges": [],'
              ' "meta": {"epsilon": NaN}}', ["verify"]),
             ("negative-epsilon-real", '{"points": [[0.5, 0], [1, 1]], "edges": [],'
              ' "meta": {"epsilon": -1}}', ["verify"]),
-            # new cases go at the end of this group, whose ids are the case names
-            *(pytest.param(*case, id=case[0]) for case in [
-                ("huge-edge-index", '{"points": [[0, 0], [1, 1]], "edges": [[0, 1'
-                 + "0" * 30 + ']]}', ["verify"]),
-                ("huge-int-point", '{"points": [[0, 0], [1' + "0" * 30 + ', 1]],'
-                 ' "edges": []}', ["verify"]),
-                ("negative-zero-duplicate", '{"points": [[0.0, 0.0], [0.0, -0.0]],'
-                 ' "edges": []}', ["verify"]),
-                ("deep-json", '{"points": ' + "[" * 100_000 + "]" * 100_000
-                 + ', "edges": []}', ["verify"]),
-                ("epsilon-negative", MONOTONE_CSV,
-                 ["extremal", "--epsilon", "-1", "--points"]),
-                ("epsilon-nan", MONOTONE_CSV,
-                 ["construct", "path", "--epsilon", "nan", "--points"]),
-                ("epsilon-inf-real", "0.0,5\n1,3\n3,2\n",
-                 ["construct", "path", "--epsilon", "inf", "--points"]),
-                ("epsilon-negative-real", "0.0,5\n1,3\n3,2\n",
-                 ["extremal", "--epsilon", "-1", "--points"]),
-                ("width-negative", '{"points": [[0, 0], [4, 0]], "edges": [[0, 1]]}',
-                 ["emit-svg", "--width", "-5"]),
-                ("width-zero", '{"points": [[0, 0], [4, 0]], "edges": [[0, 1]]}',
-                 ["emit-svg", "--width", "0"]),
-                ("object-points", '{"points": {"ab": 1, "cd": 2}, "edges": []}',
-                 ["verify"]),
-                ("string-edges", '{"points": [[0, 0], [1, 1]], "edges": "01"}',
-                 ["verify"]),
-                ("triple-edge", '{"points": [[0, 0], [1, 1]], "edges": [[0, 1, 1]]}',
-                 ["verify"]),
-                ("scalar-edge", '{"points": [[0, 0], [1, 1]], "edges": [5]}',
-                 ["verify"]),
-                ("huge-real-point", '{"points": [[0.0, 0.0], [1e300, 1.0]],'
-                 ' "edges": []}', ["verify"]),
-                ("tiny-real-point", '{"points": [[0.0, 0.0], [1e-170, 1.0]],'
-                 ' "edges": []}', ["verify"]),
-                ("grid-side-huge", None, ["construct", "grid", "--side", "1000000"]),
-            ]),
-        ],
+            ("huge-edge-index", '{"points": [[0, 0], [1, 1]], "edges": [[0, 1'
+             + "0" * 30 + ']]}', ["verify"]),
+            ("huge-int-point", '{"points": [[0, 0], [1' + "0" * 30 + ', 1]],'
+             ' "edges": []}', ["verify"]),
+            ("negative-zero-duplicate", '{"points": [[0.0, 0.0], [0.0, -0.0]],'
+             ' "edges": []}', ["verify"]),
+            ("deep-json", '{"points": ' + "[" * 100_000 + "]" * 100_000
+             + ', "edges": []}', ["verify"]),
+            ("object-points", '{"points": {"ab": 1, "cd": 2}, "edges": []}',
+             ["verify"]),
+            ("string-edges", '{"points": [[0, 0], [1, 1]], "edges": "01"}',
+             ["verify"]),
+            ("triple-edge", '{"points": [[0, 0], [1, 1]], "edges": [[0, 1, 1]]}',
+             ["verify"]),
+            ("scalar-edge", '{"points": [[0, 0], [1, 1]], "edges": [5]}',
+             ["verify"]),
+            ("huge-real-point", '{"points": [[0.0, 0.0], [1e300, 1.0]],'
+             ' "edges": []}', ["verify"]),
+            ("tiny-real-point", '{"points": [[0.0, 0.0], [1e-170, 1.0]],'
+             ' "edges": []}', ["verify"]),
+            ("grid-side-huge", None, ["construct", "grid", "--side", "1000000"]),
+        ]],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, content, args):
         # the message names the input at fault: the flag, or else the file
@@ -366,8 +353,7 @@ class TestUsage:
             else:
                 path.write_text(content)
             args = args + [str(path)]
-            flags = [a for a in args if a in ("--disk", "--epsilon", "--width")]
-            culprit = flags[0] if flags else str(path)
+            culprit = "--disk" if "--disk" in args else str(path)
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and culprit in err
@@ -432,7 +418,7 @@ class TestFailedVerification:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == (
-            "error: built graph has 1 conflicts, first at vertex 0"
+            "error: not a valid LGG: 1 conflict, first at vertex 0"
             " with neighbors 1 and 2 (interior)\n"
         )
 
@@ -457,7 +443,7 @@ class TestFailedVerification:
                               capture_output=True, text=True, env=env)
         assert done.stdout == "raised 1\n"
         assert done.returncode == 1
-        assert done.stderr.startswith("error: built graph has 1 conflicts")
+        assert done.stderr.startswith("error: not a valid LGG: 1 conflict, ")
         assert "Traceback" not in done.stderr
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import random_int_points
 from lgg.geometry import (
+    DEFAULT_EPSILON,
     MAX_EXACT_COORD,
     MAX_REAL_COORD,
     MIN_REAL_COORD,
@@ -26,6 +27,7 @@ from lgg.io import (
     graph_to_json,
     graph_to_svg,
     load_graph,
+    load_points,
     parse_points_csv,
     save_graph,
 )
@@ -43,8 +45,8 @@ class TestPointsCsv:
         assert ps[0].x == 0.0 and ps[1].x == 1.5
 
     def test_scientific_notation_is_real(self):
-        ps = parse_points_csv("1e3,0\n2,1\n", epsilon=1e-6)
-        assert not ps.is_exact and ps.eps == 1e-6
+        ps = parse_points_csv("1e3,0\n2,1\n")
+        assert not ps.is_exact and ps.eps == DEFAULT_EPSILON
 
     def test_errors(self):
         with pytest.raises(FormatError):
@@ -112,6 +114,37 @@ class TestGraphJson:
         path = str(tmp_path / "g.json")
         save_graph(g, path, {"generator": "unit"})
         assert load_graph(path) == g
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as one without it."""
+
+    @pytest.mark.parametrize("load, text", [
+        pytest.param(load_points, "# x,y\n0,5\n1,3\n", id="int-csv"),
+        pytest.param(load_points, "0.5,5\n1,3e2\n", id="real-csv"),
+        pytest.param(load_graph, '{"edges":[[0,1]],"meta":{"epsilon":0.0},'
+                     '"points":[[0,0],[5,1]]}\n', id="compact-json"),
+        pytest.param(load_graph, '{"points": [[0.5, 0], [5, 1]], "edges": [[1, 0]]}',
+                     id="general-json"),
+    ])
+    def test_reads_as_without(self, tmp_path, load, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load(str(marked)) == load(str(plain))
+
+
+def test_tuning_arguments_are_gone(tmp_path):
+    # the real-coordinate CSV tolerance and the SVG width are constants
+    path = tmp_path / "pts.csv"
+    path.write_text("0.5,1\n2,3\n")
+    g = Graph(PointSet.of([(0, 0), (1, 1)]), ((0, 1),))
+    for call in (lambda: parse_points_csv("0.5,1\n", epsilon=1e-6),
+                 lambda: load_points(str(path), epsilon=1e-6),
+                 lambda: graph_to_svg(g, width=400)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def _reference_json(g, meta=None):
@@ -429,28 +462,28 @@ class TestSvg:
     def test_contains_all_elements(self):
         ps = PointSet.of([(0, 0), (10, 0), (10, 10)])
         g = Graph(ps, ((0, 1), (1, 2)))
-        svg = graph_to_svg(g, width=400)
-        assert svg.startswith("<svg")
+        svg = graph_to_svg(g)
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="800" ')
         assert svg.count("<line") == 2
         assert svg.count("<circle") == 3
 
     def test_disk_overlay(self):
         ps = PointSet.of([(0, 0), (10, 0), (10, 10)])
         g = Graph(ps, ((0, 1),))
-        svg = graph_to_svg(g, width=400, disk_edge=(0, 1))
+        svg = graph_to_svg(g, disk_edge=(0, 1))
         assert svg.count("<circle") == 4  # 3 vertices + the disk
 
     def test_coordinates_at_the_real_bound(self):
         lim = MAX_REAL_COORD
         ps = PointSet.of([(-lim, -lim), (lim, lim), (lim, -lim)], 1e-9)
-        svg = graph_to_svg(Graph(ps, ((0, 1),)), width=100, disk_edge=(0, 1))
+        svg = graph_to_svg(Graph(ps, ((0, 1),)), disk_edge=(0, 1))
         height = float(svg.split('height="')[1].split('"')[0])
         assert math.isfinite(height) and "nan" not in svg and "inf" not in svg
 
     def test_y_axis_points_up(self):
         ps = PointSet.of([(0, 0), (0, 10)])
         g = Graph(ps, ())
-        svg = graph_to_svg(g, width=100)
+        svg = graph_to_svg(g)
         lines = [ln for ln in svg.splitlines() if "<circle" in ln]
         cy0 = float(lines[0].split('cy="')[1].split('"')[0])
         cy1 = float(lines[1].split('cy="')[1].split('"')[0])

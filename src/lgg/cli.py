@@ -5,16 +5,17 @@ Subcommands: ``construct grid|path|fan|cycle|ladder``, ``verify``,
 verifies its input first.  Exit status 0 on success, 1 on invariant
 violations (an invalid graph under ``verify`` or ``indepset``, a built
 graph or witness that fails verification, a points file that is not
-strictly monotonic for ``path``, too many points for ``extremal``) and on
-running out of memory, 2 on usage or parse errors,
-including files that cannot be opened or decoded, coordinates out of range
-(beyond 2**30 for integers, non-finite, beyond 2**256 or nonzero below
-2**-384 for reals) and out-of-range construction flags (``--side`` above
-``grid.MAX_SIDE`` among them).  The constructions take only their size
-(``--side``, ``--n``) and, for the grid, ``--mode``; the grid's theta0 and
-c1 and the circle radius of ``fan`` and ``cycle`` are constants, as are the
-tolerance of a real-coordinate points CSV (``geometry.DEFAULT_EPSILON``) and
-the SVG width (``io.SVG_WIDTH``).
+strictly monotonic for ``path``, more than 16 or fewer than two points for
+``extremal``, the latter with ``need at least two points``) and on running
+out of memory, 2 on usage or parse errors, including files that cannot be
+opened or decoded, coordinates out of range (beyond 2**30 for integers,
+non-finite, beyond 2**256 or nonzero below 2**-384 for reals),
+out-of-range construction flags (``--side`` above ``grid.MAX_SIDE`` among
+them) and an ``emit-svg --disk i,i``.  The constructions take only their
+size (``--side``, ``--n``) and, for the grid, ``--mode``; the grid's
+theta0 and c1 and the circle radius of ``fan`` and ``cycle`` are
+constants, as are the tolerance of a real-coordinate points CSV
+(``geometry.DEFAULT_EPSILON``) and the SVG width (``io.SVG_WIDTH``).
 
 The ``scaling`` command counts the edges of the grid for several sides
 from the certified walk (``grid.certify``), building no graph, and emits
@@ -202,8 +203,8 @@ def _cmd_emit_svg(args: argparse.Namespace) -> int:
             i, j = (int(t) for t in args.disk.split(","))
         except ValueError as exc:
             raise io.FormatError(f"--disk expects 'i,j': {exc}") from exc
-        if not (0 <= i < g.n and 0 <= j < g.n):
-            raise io.FormatError(f"--disk {i},{j}: no such vertex in {g.n} points")
+        if i == j or not (0 <= i < g.n and 0 <= j < g.n):
+            raise io.FormatError(f"--disk {i},{j}: not two vertices of {g.n} points")
         disk = (i, j)
     _write_out(io.graph_to_svg(g, disk), args.output)
     return 0

@@ -5,10 +5,10 @@ adjacency; the tuple views ``edges`` and ``adjacency`` are built only when
 asked for.  A graph is valid (locally Gabriel) when no edge's closed
 diametral disk contains a neighbor of either endpoint.  ``verify`` checks
 the equivalent per-vertex formulation (every pair of edges at a shared
-vertex passes ``geometry.conflict_free``) in one vectorised pass on the
-CSR arrays.  It is the library's one formulation of the check; the tests
-hold it to a scalar reference of the per-edge disk definition
-(``tests/reference.py``).
+vertex passes ``geometry.conflict_free``) in one ragged pass over the CSR
+rows, in (u, v, w) order.  It is the library's one formulation of the
+check; the tests hold it to a scalar reference of the per-edge disk
+definition (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -126,46 +126,40 @@ class ConflictReport:
         return not self.violations
 
 
-# Neighbor pairs per vectorised step of ``verify``; bounds its temporaries.
-_VERIFY_CHUNK = 1 << 12
-
-
-def _pair_blocks(verts: np.ndarray, d: int):
-    """Blocks ``(vertices, ia, ib)`` of at most ``_VERIFY_CHUNK`` pairs
-    ``(ia, ib)`` of neighbor positions of the given degree-``d`` vertices.
-
-    The pair triangle is walked in blocks of rows, each taken for a group of
-    vertices; up to degree 64 one block holds the whole triangle.
-    """
-    rows = max(1, _VERIFY_CHUNK // d)
-    for r in range(0, d - 1, rows):
-        # rows past the triangle's last one hold no pairs
-        ia, ib = np.triu_indices(rows, 1 + r, d)
-        step = max(1, _VERIFY_CHUNK // len(ia))
-        for lo in range(0, len(verts), step):
-            yield verts[lo : lo + step], ia + r, ib
+# About this many neighbor pairs per step of ``verify``; bounds its temporaries.
+_VERIFY_CHUNK = 1 << 13
 
 
 def verify(g: Graph) -> ConflictReport:
-    """All conflicting neighbor pairs, one record per (u, {v, w}).
+    """All conflicting neighbor pairs, one record per (u, {v, w}), sorted.
 
-    One vectorised pass, quadratic in vertex degrees: vertices are grouped
-    by degree d, their neighbor pairs come from ``triu_indices``, and
-    ``conflict_free`` runs on bounded blocks of those pairs.
+    Quadratic in vertex degrees: each position p of ``indices`` pairs with
+    the later positions of its row, in chunks of about ``_VERIFY_CHUNK``
+    pairs cut on one running count.  Rows and neighbors ascend, so the
+    pairs come out in (u, v, w) order.
     """
-    xs, ys, eps = g.points.xs, g.points.ys, g.points.eps
-    deg = np.diff(g.indptr)
+    xs, ys, eps, indptr = g.points.xs, g.points.ys, g.points.eps, g.indptr
+    deg = np.diff(indptr)
+    # run[p]: the pairs of the positions before p.  Position p has d - 1
+    # later positions at the start of a row of degree d, one less at each
+    # step along it; one sum counts them, a second runs over positions
+    run = np.full(len(g.indices) + 1, -1, dtype=np.int64)
+    run[0] = 0
+    run[indptr[:-1][deg > 0] + 1] = deg[deg > 0] - 1
+    np.cumsum(np.cumsum(run, out=run), out=run)
+    # each chunk starts at the position that holds its first pair
+    firsts = np.append(np.arange(0, run[-1], _VERIFY_CHUNK), run[-1])
+    cuts = (np.searchsorted(run, firsts, "right") - 1).tolist()
     found: list[tuple[int, int, int]] = []
-    # the degrees >= 2 in ascending order; numpy 2.4's hash-based np.unique
-    # is about 40x slower than counting here
-    for d in (np.flatnonzero(np.bincount(deg)[2:]) + 2).tolist():
-        for rows, ia, ib in _pair_blocks(np.flatnonzero(deg == d), d):
-            nbrs = g.indices[g.indptr[rows, None] + np.arange(d)]
-            u = np.repeat(rows, len(ia))
-            v, w = nbrs[:, ia].ravel(), nbrs[:, ib].ravel()
-            bad = ~conflict_free(xs[u], ys[u], xs[v], ys[v], xs[w], ys[w], eps)
-            found += zip(u[bad].tolist(), v[bad].tolist(), w[bad].tolist())
-    found.sort()  # then label only the conflicting triples
+    for a, b in zip(cuts, cuts[1:]):
+        pos, later = np.arange(a, b), np.diff(run[a : b + 1])
+        u = np.repeat(np.searchsorted(indptr, pos, "right") - 1, later)
+        v = np.repeat(g.indices[pos], later)
+        # pair t of the pass joins its position p to p + 1 + t - run[p]
+        w = g.indices[np.arange(run[a], run[b]) + np.repeat(pos + 1 - run[a:b], later)]
+        bad = ~conflict_free(xs[u], ys[u], xs[v], ys[v], xs[w], ys[w], eps)
+        found += zip(u[bad].tolist(), v[bad].tolist(), w[bad].tolist())
+    # then label only the conflicting triples
     u, v, w = np.array(found, dtype=np.int64).reshape(-1, 3).T
     inner = _interior_conflict(xs[u], ys[u], xs[v], ys[v], xs[w], ys[w], eps)
     kinds = [INTERIOR if i else BOUNDARY for i in inner.tolist()]

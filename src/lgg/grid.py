@@ -22,7 +22,10 @@ Gabriel graph iff +-W is pairwise ``conflict_free`` at the origin (the
 one call to it here), and the pairs of W decide that: w1 . w2 > 0 on W,
 so both disk tests of (w1, -w2) read w1 . w2 + |w|^2 > 0, and a pair of
 -W has the dot products of its mirror in W.  The edge count is a sum
-over W.  Neither needs the graph.
+over W.  Neither needs the graph.  ``build`` hands each edge once to
+``Graph``, which keys, sorts and checks them: for an offset (x, y) the
+lower ends are the center block C and the part of C - (x, y) outside C,
+the two blocks that the edge count sums.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .graph import Graph, InvariantViolation
 
 
 #: The largest grid side g with g**4 < 2**63, so that the int64 edge keys
-#: i * n + j of ``build`` (n = g * g) cannot wrap.
+#: i * n + j that ``Graph`` makes of the grid's edges (n = g * g) cannot wrap.
 MAX_SIDE = 55108
 
 
@@ -202,18 +205,15 @@ def build(params: GridParams) -> tuple[Graph, GridBuildStats]:
     anything of size n is built.
     """
     g = params.g
-    n = g * g
     walk = neighbors_q1(params)
     stats = _certify(g, walk)
-    points = PointSet(*np.divmod(np.arange(n, dtype=np.int64), g))
+    points = PointSet(*np.divmod(np.arange(g * g, dtype=np.int64), g))
     side = np.arange(g // 3, (2 * g) // 3)
-    centres = (side[:, None] * g + side).reshape(-1, 1)
-    # index steps d > 0, so (c, c + d) and (c - d, c) are already canonical;
-    # as keys i * n + j they sort lexicographically
-    steps = np.array([x * g + y for x, y in walk])
-    ahead, behind = centres * n + centres + steps, (centres - steps) * n + centres
-    # sort and drop repeats: numpy 2.4's hash-based np.unique is about 40x
-    # slower than sorting on these keys
-    keys = np.sort(np.concatenate((ahead, behind), axis=None))
-    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-    return Graph(points, np.column_stack(np.divmod(keys, n))), stats
+    block = side[:, None] * g + side  # the center block C
+    edges = []
+    for x, y in walk:
+        # outside C: the shifted first x rows of C and first y columns of the rest
+        d = x * g + y
+        lower = np.concatenate((block, block[:x] - d, block[x:, :y] - d), axis=None)
+        edges.append(np.column_stack((lower, lower + d)))
+    return Graph(points, np.concatenate(edges)), stats

@@ -1,7 +1,8 @@
 """File formats: points CSV, graph JSON, and a static SVG emitter.
 
-Points CSV holds one ``x,y`` pair per line with optional ``#`` comments.
-Integer coordinates are parsed exactly; a decimal point or exponent anywhere
+Points CSV holds one ``x,y`` pair of ASCII numbers (no ``1_0`` or other
+scripts' digits) per line with optional ``#`` comments.  Integer
+coordinates are parsed exactly; a decimal point or exponent anywhere
 in the file switches the whole file to real mode with the tolerance
 ``geometry.DEFAULT_EPSILON``.  Both readers skip a leading UTF-8 byte-order
 mark.  An SVG is always ``SVG_WIDTH`` pixels wide.
@@ -85,6 +86,8 @@ def parse_points_csv(text: str) -> PointSet:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'x,y', got {raw!r}")
+        if any("_" in t or not t.isascii() for t in parts):
+            raise FormatError(f"line {lineno}: not an ASCII decimal number in {raw!r}")
         rows.append((lineno, parts[0], parts[1]))
     if not rows:
         raise FormatError("no points in file")

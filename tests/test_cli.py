@@ -284,6 +284,8 @@ class TestUsage:
              ["verify"]),
             ("disk-range", '{"points": [[0, 0], [4, 0], [0, 4]], "edges": []}',
              ["emit-svg", "--disk", "0,7"]),
+            ("disk-same-vertex", '{"points": [[0, 0], [4, 0], [0, 4]], "edges": []}',
+             ["emit-svg", "--disk", "0,0"]),
             ("grid-side", None, ["construct", "grid", "--side", "5"]),
             ("scaling-sides", None, ["scaling", "--sides", "12,x"]),
             ("verify-dir", DIRECTORY, ["verify"]),

@@ -19,6 +19,7 @@ from lgg.geometry import (
     PointSet,
 )
 from lgg.graph import (
+    ConflictReport,
     Graph,
     GraphError,
     InvariantViolation,
@@ -239,10 +240,10 @@ class TestVerify:
             keep = rng.sample(g.edges, len(g.edges) // 2)
             assert verify(Graph(ps, tuple(keep))).valid
 
-    @pytest.mark.parametrize("chunk", [8, 100, 1 << 12])
+    @pytest.mark.parametrize("chunk", [1, 8, 100, 1 << 12])
     def test_high_degree_blocks_match_direct_definition(self, monkeypatch, chunk):
-        # hubs of degree 95 and 150 span several row blocks at the default
-        # chunk; smaller chunks split rows, down to one row per block
+        # the hubs of degree 95 and 150 have more pairs than a chunk of 4096;
+        # at chunk 1 a chunk holds one neighbor position and its later ones
         monkeypatch.setattr(lgg.graph, "_VERIFY_CHUNK", chunk)
         rng = random.Random(chunk)
         ps = random_int_points(rng, 160, 1000)
@@ -251,6 +252,11 @@ class TestVerify:
         g = Graph(ps, sorted(edges))
         assert max(map(len, g.adjacency)) >= 150
         assert verify(g) == verify_direct(g)
+
+    def test_graphs_without_pairs_are_valid(self):
+        ps = PointSet.of([(0, 0), (1, 0), (2, 0)])
+        for edges in ([], [(0, 2)]):
+            assert verify(Graph(ps, edges)) == ConflictReport(())
 
     def test_high_degree_memory_is_bounded(self):
         g = half_convex_fan(2000).graph  # the centre has degree 1999

@@ -225,7 +225,7 @@ def _reference_build(params):
 class TestBuild:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_matches_per_center_reference(self, mode):
-        for g in range(9, 41):
+        for g in [*range(9, 41), 60, 150]:
             params = GridParams(g=g, mode=mode)
             graph, stats = build(params)
             assert (graph.edges, stats) == _reference_build(params)

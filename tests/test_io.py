@@ -55,6 +55,10 @@ class TestPointsCsv:
             parse_points_csv("1,2,3\n")
         with pytest.raises(FormatError):
             parse_points_csv("a,b\n")
+        # forms only Python reads: digit separators and non-ASCII digits
+        for bad in ("1_0,2", "1_0.5,2.0", "\u0661,2"):
+            with pytest.raises(FormatError, match=r"^line 2: "):
+                parse_points_csv("0,0\n" + bad + "\n")
         # a duplicate names both lines, not point indices; -0.0 equals 0.0
         with pytest.raises(FormatError, match=r"^line 5: duplicates line 2 \(0, 0\)$"):
             parse_points_csv("# header\n0,0\n\n1,1\n0,0\n")

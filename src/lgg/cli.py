@@ -11,11 +11,13 @@ out of memory, 2 on usage or parse errors, including files that cannot be
 opened or decoded, coordinates out of range (beyond 2**30 for integers,
 non-finite, beyond 2**256 or nonzero below 2**-384 for reals),
 out-of-range construction flags (``--side`` above ``grid.MAX_SIDE`` among
-them) and an ``emit-svg --disk i,i``.  The constructions take only their
-size (``--side``, ``--n``) and, for the grid, ``--mode``; the grid's
-theta0 and c1 and the circle radius of ``fan`` and ``cycle`` are
-constants, as are the tolerance of a real-coordinate points CSV
-(``geometry.DEFAULT_EPSILON``) and the SVG width (``io.SVG_WIDTH``).
+them), integer flags that are not ASCII decimals (``3_0``, other scripts'
+digits: the points CSV's rule) and an ``emit-svg --disk i,i``.  The
+constructions take only their size (``--side``, ``--n``) and, for the
+grid, ``--mode``; the grid's theta0 and c1 and the circle radius of
+``fan`` and ``cycle`` are constants, as are the tolerance of a
+real-coordinate points CSV (``geometry.DEFAULT_EPSILON``) and the SVG
+width (``io.SVG_WIDTH``).
 
 The ``scaling`` command counts the edges of the grid for several sides
 from the certified walk (``grid.certify``), building no graph, and emits
@@ -87,6 +89,16 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _int_flag(flag: str, text: str) -> int:
+    """An integer flag value read as a points CSV number; else a usage error."""
+    if io.is_ascii_number(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise io.FormatError(f"{flag} expects an ASCII decimal integer, got {text!r}")
+
+
 def _grid_params(side: int, mode: str) -> grid.GridParams:
     """Grid parameters from the command line; a bad side is a usage error."""
     try:
@@ -113,12 +125,12 @@ def _convex(kind: str, n: int) -> convex.Construction:
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "grid":
-        params = _grid_params(args.side, args.mode)
+        params = _grid_params(_int_flag("--side", args.side), args.mode)
         g, stats = grid.build(params)
         meta = {
             "generator": "grid",
             "parameters": {
-                "side": args.side,
+                "side": params.g,
                 "mode": args.mode,
                 "theta0": params.theta0,
                 "c1": params.c1,
@@ -130,7 +142,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if kind == "path":
         cons = convex.monotonic_path(io.load_points(args.points))
     else:
-        cons = _convex(kind, args.n)
+        cons = _convex(kind, _int_flag("--n", args.n))
     meta = {"generator": cons.name, "parameters": {"n": len(cons.points)}}
     _write_out(io.graph_to_json(cons.graph, meta), args.output)
     return 0
@@ -172,10 +184,8 @@ def _cmd_indepset(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    try:
-        sides = sorted({int(s) for s in args.sides.split(",") if s.strip()})
-    except ValueError as exc:
-        raise io.FormatError(f"--sides expects integers: {exc}") from exc
+    tokens = [s for s in args.sides.split(",") if s.strip()]
+    sides = sorted({_int_flag("--sides", s) for s in tokens})
     if len(sides) < 2:
         raise io.FormatError("scaling needs at least two grid sides")
     rows = []
@@ -199,10 +209,10 @@ def _cmd_emit_svg(args: argparse.Namespace) -> int:
     g = io.load_graph(args.graph)
     disk = None
     if args.disk:
-        try:
-            i, j = (int(t) for t in args.disk.split(","))
-        except ValueError as exc:
-            raise io.FormatError(f"--disk expects 'i,j': {exc}") from exc
+        parts = args.disk.split(",")
+        if len(parts) != 2:
+            raise io.FormatError(f"--disk expects 'i,j', got {args.disk!r}")
+        i, j = (_int_flag("--disk", t) for t in parts)
         if i == j or not (0 <= i < g.n and 0 <= j < g.n):
             raise io.FormatError(f"--disk {i},{j}: not two vertices of {g.n} points")
         disk = (i, j)
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = c.add_subparsers(dest="kind", required=True)
 
     cg = kinds.add_parser("grid", help="dense grid construction")
-    cg.add_argument("--side", type=int, required=True, help="grid side g (n = g*g)")
+    cg.add_argument("--side", required=True, help="grid side g (n = g*g)")
 
     cp = kinds.add_parser("path", help="path on a strictly monotonic set")
     cp.add_argument("--points", required=True, help="points CSV file")
@@ -231,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("ladder", "centrally symmetric two-line construction"),
     ):
         k = kinds.add_parser(name, help=hlp)
-        k.add_argument("--n", type=int, required=True)
+        k.add_argument("--n", required=True)
     for k in kinds.choices.values():
         k.add_argument("-o", "--output", default=None, help="output graph JSON")
 

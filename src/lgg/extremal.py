@@ -8,14 +8,19 @@ are its independent sets, so the maximum LGG is a maximum independent set.
 It is found by a coloured branch and bound over the candidates renumbered
 by ascending conflict degree, with two bounds:
 
-* colour bound (per vertex): the available candidates are greedily
-  partitioned into cliques, and the search branches on them from the last
-  clique back; a vertex in clique ``c`` is pruned when ``c`` cliques cannot
-  hold the candidates still needed;
+* colour bound: the available candidates are greedily partitioned into
+  cliques, and the search branches on them from the last clique back; a
+  vertex in clique ``c`` is pruned when ``c`` cliques cannot hold the
+  candidates still needed, and so is a node with too few cliques;
 * star-degree bound (per node): candidates conflict only at a shared point,
   so at point ``s`` a set holds at most ``cover_s`` of the candidates at
   ``s`` (a greedy clique cover), and as each candidate has two endpoints a
   node is pruned when ``floor(sum_s cover_s / 2)`` is below the need.
+
+A node tests the cheap colour bound first and the star-degree bound only
+if it survives.  Each node hands its per-star pairs ``(avail & star,
+cover_s)`` to its children, and a child covers again only the stars whose
+available candidates differ from its parent's.
 
 Decision searches for one more edge than the best set so far give the
 maximum.  A fixing pass then walks the candidates in index order and takes
@@ -109,7 +114,14 @@ def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
     pos = [0] * m
     for v, a in enumerate(order):
         pos[a] = v
-    adj = [sum(1 << pos[b] for b in range(m) if conflicts[a] >> b & 1) for a in order]
+    adj = []
+    for a in order:
+        row, rest = 0, conflicts[a]
+        while rest:
+            low = rest & -rest
+            row |= 1 << pos[low.bit_length() - 1]
+            rest ^= low
+        adj.append(row)
     # candidates incident to each point; they conflict only inside one star
     stars = [0] * len(cg.points)
     for a, (i, j) in enumerate(cg.candidates):
@@ -117,37 +129,49 @@ def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
         stars[j] |= 1 << pos[a]
     nodes = 0
 
-    def find(avail: int, k: int) -> list[int] | None:
-        """The first independent set of ``k`` vertices of ``avail`` found, or None."""
+    def find(avail: int, k: int, covers: list[tuple[int, int]]) -> list[int] | None:
+        """The first independent set of ``k`` vertices of ``avail`` found, or None.
+
+        ``covers`` holds the parent's ``(avail & star, cover)`` per star.
+        """
         nonlocal nodes
         nodes += 1
         if k <= 0:
             return []
         if avail.bit_count() < k:
             return None
+        # colour bound: the vertices of the first c cliques hold at most c
+        cliques = _cliques(adj, avail)
+        if len(cliques) < k:
+            return None
         # star-degree bound: a set takes at most cover(star) candidates at
         # each point, and every candidate lies in two stars
-        cover = sum(len(_cliques(adj, avail & star)) for star in stars)
-        if cover // 2 < k:
+        mine, total = [], 0
+        for star, (seen, cover) in zip(stars, covers):
+            here = avail & star
+            if here != seen:
+                cover = len(_cliques(adj, here))
+            mine.append((here, cover))
+            total += cover
+        if total // 2 < k:
             return None
-        # colour bound: the vertices of the first c cliques hold at most c;
         # branch from the last clique back, take before drop
-        cliques = _cliques(adj, avail)
         for c in range(len(cliques), k - 1, -1):
             clique = cliques[c - 1]
             while clique:
                 v = clique.bit_length() - 1
                 clique ^= 1 << v
                 avail ^= 1 << v
-                rest = find(avail & ~adj[v], k - 1)
+                rest = find(avail & ~adj[v], k - 1, mine)
                 if rest is not None:
                     rest.append(v)
                     return rest
         return None
 
+    fresh = [(-1, 0)] * len(stars)  # no star's cover is known yet
     full = (1 << m) - 1
     incumbent = need = 0  # the best set so far (bitset) and its size
-    while (found := find(full, need + 1)) is not None:
+    while (found := find(full, need + 1, fresh)) is not None:
         incumbent = sum(1 << v for v in found)
         for v in range(m):  # extend to a maximal set
             if not adj[v] & incumbent:
@@ -162,7 +186,7 @@ def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
             continue
         avail ^= 1 << v
         if not incumbent >> v & 1:
-            found = find(avail & ~adj[v], need - 1)
+            found = find(avail & ~adj[v], need - 1, fresh)
             if found is None:
                 continue
             incumbent = sum(1 << u for u in found)

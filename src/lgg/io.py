@@ -77,6 +77,12 @@ def _in_file(path: str, parse):
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def is_ascii_number(text: str) -> bool:
+    """The points CSV's rule for a number, which ``int`` and ``float`` do
+    not keep: ASCII only (no other scripts' digits) and no ``_`` (no ``1_0``)."""
+    return text.isascii() and "_" not in text
+
+
 def parse_points_csv(text: str) -> PointSet:
     rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -86,7 +92,7 @@ def parse_points_csv(text: str) -> PointSet:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'x,y', got {raw!r}")
-        if any("_" in t or not t.isascii() for t in parts):
+        if not all(map(is_ascii_number, parts)):
             raise FormatError(f"line {lineno}: not an ASCII decimal number in {raw!r}")
         rows.append((lineno, parts[0], parts[1]))
     if not rows:

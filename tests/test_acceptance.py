@@ -38,12 +38,23 @@ from reference import edges_conflict, feasibility_gap, in_closed_disk, lis_dp
 
 @contextmanager
 def criterion(label):
+    notes = []  # printed after PASS, one "; "-separated item each
     try:
-        yield
+        yield notes
     except BaseException:
         print(f"{label}: FAIL")
         raise
-    print(f"{label}: PASS")
+    print(f"{label}: PASS" + "".join(f"; {note}" for note in notes))
+
+
+@contextmanager
+def budget(notes, family, seconds):
+    """Assert the block's wall time is under ``seconds`` and note both."""
+    start = time.monotonic()
+    yield
+    elapsed = time.monotonic() - start
+    assert elapsed < seconds, f"{family} took {elapsed:.2f}s"
+    notes.append(f"{family} {elapsed:.2f} s of {seconds:.0f} s")
 
 
 def test_criterion_1_predicate_equivalence():
@@ -128,32 +139,28 @@ def test_criterion_2_grid_validity_and_slope():
 
 
 def test_criterion_3_exact_extremal_bounds():
-    with criterion("criterion 3 (exact extremal bounds)"):
+    with criterion("criterion 3 (exact extremal bounds)") as notes:
         rng = random.Random(303)
 
-        start = time.monotonic()
-        for n in range(3, 17):
-            ps = monotonic_convex_set(rng, n)
-            assert max_lgg(ps).max_edges == n - 1
-        assert time.monotonic() - start < 30.0
+        with budget(notes, "monotonic", 30.0):
+            for n in range(3, 17):
+                ps = monotonic_convex_set(rng, n)
+                assert max_lgg(ps).max_edges == n - 1
 
-        start = time.monotonic()
-        for n in range(4, 17):
-            ps = half_convex_fan(n).points
-            assert max_lgg(ps).max_edges == 2 * n - 3
-        assert time.monotonic() - start < 30.0
+        with budget(notes, "fan", 30.0):
+            for n in range(4, 17):
+                ps = half_convex_fan(n).points
+                assert max_lgg(ps).max_edges == 2 * n - 3
 
-        start = time.monotonic()
-        for n in range(4, 17):
-            ps = circle_cycle(n).points
-            assert max_lgg(ps).max_edges == n
-        assert time.monotonic() - start < 30.0
+        with budget(notes, "cycle", 30.0):
+            for n in range(4, 17):
+                ps = circle_cycle(n).points
+                assert max_lgg(ps).max_edges == n
 
-        start = time.monotonic()
-        for n in range(4, 17, 2):
-            ps = centrally_symmetric_convex_set(rng, n)
-            assert max_lgg(ps).max_edges <= 2 * n - 3
-        assert time.monotonic() - start < 30.0
+        with budget(notes, "symmetric", 30.0):
+            for n in range(4, 17, 2):
+                ps = centrally_symmetric_convex_set(rng, n)
+                assert max_lgg(ps).max_edges <= 2 * n - 3
 
 
 def test_criterion_4_constructions_achieve_bounds():

@@ -339,6 +339,12 @@ class TestUsage:
             ("tiny-real-point", '{"points": [[0.0, 0.0], [1e-170, 1.0]],'
              ' "edges": []}', ["verify"]),
             ("grid-side-huge", None, ["construct", "grid", "--side", "1000000"]),
+            # integer flags take ASCII decimals only, as a points CSV does
+            ("grid-side-underscore", None, ["construct", "grid", "--side", "3_0"]),
+            ("fan-n-arabic-digits", None, ["construct", "fan", "--n", "\u0661\u0666"]),
+            ("scaling-sides-underscore", None, ["scaling", "--sides", "3_0,6_0"]),
+            ("disk-underscore", '{"points": [[0, 0], [4, 0], [0, 4]], "edges": []}',
+             ["emit-svg", "--disk", "0_0,1"]),
         ]],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, name, content, args):

@@ -131,10 +131,24 @@ class TestMaxLgg:
             assert got.witness.edges == tuple(cands[i] for i in combo)
 
     def test_same_witness_as_reference_search(self):
+        total = 0
         for ps in _parity_sets():
             cg = build_conflict_graph(ps)
-            best, _ = max_independent_candidates(cg)
+            best, nodes = max_independent_candidates(cg)
             assert best == include_first_max(cg)
+            total += nodes
+        # the search tree itself: a change of bound or order moves this count
+        assert total == 8131
+
+    @pytest.mark.parametrize(
+        "seed, max_edges, nodes", [(1, 25, 19403), (2, 26, 7796), (3, 27, 1009)]
+    )
+    def test_lattice_sets_at_size_cap(self, seed, max_edges, nodes):
+        lattice = [(x, y) for x in range(16) for y in range(16)]
+        ps = PointSet.of(sorted(random.Random(seed).sample(lattice, MAX_POINTS)))
+        got = max_lgg(ps)
+        assert (got.max_edges, got.nodes_explored) == (max_edges, nodes)
+        assert len(got.witness.edges) == max_edges and verify(got.witness).valid
 
     def test_two_points(self):
         got = max_lgg(PointSet.of([(0, 0), (5, 5)]))

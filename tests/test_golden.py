@@ -13,6 +13,7 @@ import pytest
 
 from conftest import random_int_points, real_points
 from lgg.cli import main
+from lgg.convex import circle_cycle
 from lgg.extremal import max_lgg
 from lgg.geometry import PointSet
 from lgg.graph import random_maximal_lgg
@@ -80,14 +81,45 @@ def test_random_maximal_lgg_real_many_blocks():
     )
 
 
-def test_max_lgg_witness():
-    lattice = [(x, y) for x in range(6) for y in range(6)]
-    ps = PointSet.of(sorted(random.Random(3).sample(lattice, 10)))
+def _lattice_sets(side, n, seed, count):
+    """``count`` sorted n-point samples of a side x side lattice, from one seed."""
+    lattice = [(x, y) for x in range(side) for y in range(side)]
+    rng = random.Random(seed)
+    return [PointSet.of(sorted(rng.sample(lattice, n))) for _ in range(count)]
+
+
+#: perfbench's extremal-14 inputs (lattice-0..4 and cycle-14) after one
+#: 10-point set of a 6 x 6 lattice
+WITNESS_INPUTS = [
+    *_lattice_sets(6, 10, 3, 1),
+    *_lattice_sets(16, 14, 14, 5),
+    circle_cycle(14).points,
+]
+
+
+@pytest.mark.parametrize(
+    "ps, max_edges, nodes, digest",
+    [pytest.param(ps, *case, id=name) for ps, (name, *case) in zip(WITNESS_INPUTS, [
+        ("lattice-6x6", 12, 74,
+         "332e38cde5782feed4b8f9bda3cb198cd1d8eec7bbe5e8a174f22a534f8ec452"),
+        ("lattice-0", 22, 3060,
+         "92a2228c2a5b5267e6cc7cbf6ff424cc3f2e76bb08ebd63d11cca16ce20e8434"),
+        ("lattice-1", 22, 936,
+         "0e70bf5482bd28c9f385d4c5bbb40a376bf9554563bbc1ec522a4b010a1b4ed5"),
+        ("lattice-2", 23, 129,
+         "3b6843f88ce7e8e8acb0458a21bd9a67e54185be00422070ad5570a896485330"),
+        ("lattice-3", 18, 87,
+         "34f41ac27f178ef8dbb72969e380806a038fd38158174c9d05b03003d8cf4837"),
+        ("lattice-4", 20, 317,
+         "3aff4d842274d634a2bd95c0cc21fbd94754749ef797ada62f30cad2cad61477"),
+        ("cycle-14", 14, 42,
+         "d5a48ec58a1d3df8fc970d944d6c3ae9c75583803168cb6d598fa871a612cceb"),
+    ])],
+)
+def test_max_lgg_witness(ps, max_edges, nodes, digest):
     result = max_lgg(ps)
-    assert (result.max_edges, result.nodes_explored) == (12, 74)
-    assert sha256(graph_to_json(result.witness)) == (
-        "332e38cde5782feed4b8f9bda3cb198cd1d8eec7bbe5e8a174f22a534f8ec452"
-    )
+    assert (result.max_edges, result.nodes_explored) == (max_edges, nodes)
+    assert sha256(graph_to_json(result.witness)) == digest
 
 
 @pytest.mark.parametrize(

@@ -99,12 +99,13 @@ def _int_flag(flag: str, text: str) -> int:
     raise io.FormatError(f"{flag} expects an ASCII decimal integer, got {text!r}")
 
 
-def _grid_params(side: int, mode: str) -> grid.GridParams:
-    """Grid parameters from the command line; a bad side is a usage error."""
+def _grid_params(flag: str, side: int, mode: str) -> grid.GridParams:
+    """Grid parameters from the command line; a bad side is a usage error
+    that names ``flag``, the one the side was given by."""
     try:
         return grid.GridParams(g=side, mode=grid.Mode(mode))
     except ValueError as exc:
-        raise io.FormatError(f"bad grid parameters for --side {side}: {exc}") from exc
+        raise io.FormatError(f"bad grid parameters for {flag} {side}: {exc}") from exc
 
 
 _CONVEX = {
@@ -125,7 +126,7 @@ def _convex(kind: str, n: int) -> convex.Construction:
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "grid":
-        params = _grid_params(_int_flag("--side", args.side), args.mode)
+        params = _grid_params("--side", _int_flag("--side", args.side), args.mode)
         g, stats = grid.build(params)
         meta = {
             "generator": "grid",
@@ -190,7 +191,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         raise io.FormatError("scaling needs at least two grid sides")
     rows = []
     # every side is checked before the first walk
-    for params in [_grid_params(side, args.mode) for side in sides]:
+    for params in [_grid_params("--sides", side, args.mode) for side in sides]:
         stats = grid.certify(params)
         rows.append((params.g, ScalingSample(params.g**2, stats.total_edges)))
     fit = fit_exponent([sample for _, sample in rows])

@@ -13,20 +13,25 @@ Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 canonical edge order, sorted keys, shortest round-trip numbers.
 
 The writer formats the coordinate and edge arrays straight into the text
-around ``json.dumps`` of ``meta``.  The JSON reader reads the writer's own
-layout (those keys in that order, no whitespace but at the end) with one
-flat ``json.loads`` per array: a span whose brackets and commas are those
-of a list of pairs loses its brackets, and ``json`` reads the numbers left,
-which go into an int64 array, or float64 if a float is present.  Every
-other file, and every one that path cannot read as ``json.loads`` would (a
-value beyond int64, a float endpoint, a bad ``meta``), goes through the
-general reader: ``json.loads`` of the whole text, then one
-``geometry.pair_array`` call per array (that of the edges made by
-``Graph``), the library's one conversion of
-outside pairs: arrays of two-element arrays, coordinates ints or floats,
-endpoints ints, never booleans, each checked over the whole array, with the
-items walked only when a check fails, to name the first bad one.  So only
-the general reader raises a parse error, and its messages are the same for
+around ``json.dumps`` of ``meta``: integer pairs with one numpy kernel over
+a character matrix, ``_WRITE_CHUNK`` numbers at a time, with no Python int
+made per number; float pairs with ``%r``, the repr ``json`` writes.  The
+JSON reader reads the writer's own layout (those keys in that order, no
+whitespace but at the end) array by array, once a span's brackets and
+commas are those of a list of pairs.  An all-integer span is read from its
+bytes into int64 in pieces of about ``_READ_CHUNK`` bytes, with no Python
+int per number, if every number is ``-?(0|[1-9][0-9]*)`` with at most 18
+digits: exact in int64 and the value ``json`` gives.  A span with a float
+loses its brackets and one flat ``json.loads`` reads it into float64.
+Every other file, and every one that path cannot read as ``json.loads``
+would (an integer of 19 digits or more, a leading zero or ``+``, a float
+endpoint, a bad ``meta``), goes through the general reader: ``json.loads``
+of the whole text, then one ``geometry.pair_array`` call per array (that of
+the edges made by ``Graph``), the library's one conversion of outside
+pairs: arrays of two-element arrays, coordinates ints or floats, endpoints
+ints, never booleans, each checked over the whole array, with the items
+walked only when a check fails, to name the first bad one.  So only the
+general reader raises a parse error, and its messages are the same for
 every layout.  ``Graph`` takes the int64 edge array as it is, so no list is
 scanned twice; range and duplicate checks are left to ``PointSet`` and
 ``Graph``.  The CSV reader checks each row as a ``Point``, and against the
@@ -114,18 +119,65 @@ def load_points(path: str) -> PointSet:
     return _in_file(path, parse_points_csv)
 
 
+#: numbers formatted per pass of ``_int_pairs``; even, so no pair is cut,
+#: and small enough that a pass's temporaries (~30 bytes a number) stay near 1 MB
+_WRITE_CHUNK = 1 << 15
+#: span bytes parsed per pass of ``_flat_pairs``, cut at a ``],[`` joint
+_READ_CHUNK = 1 << 18
+
+
+def _int_text(v: np.ndarray, first: bool) -> np.ndarray:
+    """ASCII of the int64 numbers ``v``, of even length, as ``_int_pairs`` writes them.
+
+    Each number becomes one row of a uint8 character matrix: a comma (none
+    before the first of all), ``[`` if it opens a pair, its sign, its digits
+    from repeated ``divmod`` by 10 and ``]`` if it closes a pair, with the
+    unused cells 0; the nonzero cells, in order, are the text.
+    """
+    neg = v < 0
+    q = v.astype(np.uint64)
+    np.negative(q, out=q, where=neg)  # |v|, also for -2**63
+    width = len(str(int(q.max())))
+    mat = np.zeros((len(v), width + 4), np.uint8)
+    mat[int(first) :, 0] = ord(",")
+    mat[::2, 1] = ord("[")
+    mat[neg, 2] = ord("-")
+    mat[1::2, -1] = ord("]")
+    r = np.empty_like(q)
+    for col in range(width + 2, 2, -1):
+        live = q != 0  # a leading zero stays 0, but the units digit is kept
+        np.divmod(q, 10, out=(q, r))
+        np.add(r, ord("0"), out=mat[:, col], casting="unsafe")
+        if col < width + 2:
+            mat[:, col] *= live
+    del q, r  # freed first, or with the mask and its selection they set the peak
+    return mat[mat != 0]
+
+
+def _int_pairs(pairs: np.ndarray) -> list[str]:
+    """``",".join("[%d,%d]" % p for p in pairs)`` of an int64 (m, 2) array, in
+    pieces of ``_WRITE_CHUNK`` numbers."""
+    flat = pairs.reshape(-1)
+    return [
+        str(_int_text(flat[lo : lo + _WRITE_CHUNK], lo == 0), "ascii")
+        for lo in range(0, len(flat), _WRITE_CHUNK)
+    ]
+
+
 def graph_to_json(g: Graph, meta: dict | None = None) -> str:
     """``json.dumps`` of the arrays' ``tolist()`` with sorted keys, byte for byte."""
     ps = g.points
-    pair = "[%d,%d]" if ps.is_exact else "[%r,%r]"  # %r: the float repr json writes
-    xy = np.column_stack((ps.xs, ps.ys)).ravel().tolist()
-    ij = g.edge_array.ravel().tolist()
+    if ps.is_exact:
+        points = _int_pairs(np.column_stack((ps.xs, ps.ys)))
+    else:  # %r: the float repr json writes
+        xy = np.column_stack((ps.xs, ps.ys)).ravel().tolist()
+        points = [",".join(["[%r,%r]"] * len(ps)) % tuple(xy)]
     meta = {**(meta or {}), "epsilon": ps.eps}
-    return '{"edges":[%s],"meta":%s,"points":[%s]}\n' % (
-        ",".join(["[%d,%d]"] * (len(ij) // 2)) % tuple(ij),
+    return "".join([
+        '{"edges":[', *_int_pairs(g.edge_array), '],"meta":',
         json.dumps(meta, sort_keys=True, separators=(",", ":")),
-        ",".join([pair] * len(ps)) % tuple(xy),
-    )
+        ',"points":[', *points, "]}\n",
+    ])
 
 
 def _epsilon(meta) -> float:
@@ -138,16 +190,49 @@ def _epsilon(meta) -> float:
     return eps
 
 
+def _ints(b: np.ndarray) -> np.ndarray | None:
+    """The integers of ``b``, bytes of a framed span cut at joints, or None.
+
+    Tokens are the runs of ``-`` and digits (after the frame check and the
+    ``+`` test, all else is brackets and commas).  Each must read
+    ``-?(0|[1-9][0-9]*)`` with at most 18 digits, so that it is exact in
+    int64 and is the value ``json.loads`` gives; the digits of every token
+    are summed at once, one column at a time from the right.
+    """
+    num = (b >= ord("-")) & (b <= ord("9"))
+    bounds = np.flatnonzero(np.diff(num, prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    neg = b[starts] == ord("-")
+    first = starts + neg
+    n = ends - first
+    width = n.max(initial=0)
+    if n.min(initial=1) < 1 or width > 18:
+        return None
+    if np.count_nonzero(b == ord("-")) != neg.sum():  # a "-" after a digit or "-"
+        return None
+    if np.any((b[first] == ord("0")) & (n > 1)):  # a leading zero
+        return None
+    val = np.zeros(len(n), np.int64)
+    for c in range(width, 0, -1):  # the digit c places from a token's end
+        d = b.take(ends - c, mode="clip") - ord("0")
+        d *= n >= c  # 0 before the token's first digit
+        val *= 10
+        val += d
+    np.negative(val, out=val, where=neg)
+    return val
+
+
 def _flat_pairs(span: str, kinds: tuple) -> np.ndarray | None:
-    """``span``, the writer's ``[[a,b],...]``, read with one flat ``json.loads``.
+    """``span``, the writer's ``[[a,b],...]``, read as flat numbers.
 
     With its number characters deleted, the span must be the brackets and
     commas of m pairs, and its joints must be the literal ``[[``, ``],[``
-    and ``]]``, so that numbers sit only inside pairs and replacing the
-    joints by commas leaves the 2m numbers for ``json`` to read.  The array
-    is float64 if a number has a fraction or exponent (a float to ``json``),
-    else int64, as ``pair_array`` makes it.  None if the span is not so, a
-    float is not in ``kinds`` or a value does not fit the dtype.
+    and ``]]``, so that numbers sit only inside pairs.  A span with a
+    fraction or exponent (a float to ``json``) becomes float64: its joints
+    replaced by commas, one flat ``json.loads`` reads the 2m numbers.  Else
+    ``_ints`` reads them into int64, in pieces of about ``_READ_CHUNK``
+    bytes cut at joints.  None if the span is not so, a float is not in
+    ``kinds``, or a number is not one ``_ints`` or the dtype takes.
     """
     real = any(c in span for c in ".eE")
     if (real and float not in kinds) or not span.isascii():
@@ -161,11 +246,24 @@ def _flat_pairs(span: str, kinds: tuple) -> np.ndarray | None:
     joints = raw[:2] == b"[[" and raw[-2:] == b"]]" and raw.count(b"],[") == m - 1
     if not joints or frame != b"[" + (b"[,]," * m)[:-1] + b"]":
         return None
-    try:
-        flat = json.loads("[" + span[2:-2].replace("],[", ",") + "]")
-        return np.fromiter(flat, dtype, len(flat)).reshape(-1, 2)
-    except (ValueError, OverflowError):
+    if real:
+        try:
+            flat = json.loads("[" + span[2:-2].replace("],[", ",") + "]")
+            return np.fromiter(flat, dtype, len(flat)).reshape(-1, 2)
+        except (ValueError, OverflowError):
+            return None
+    if b"+" in raw:
         return None
+    out, k, lo = np.empty(2 * m, np.int64), 0, 0
+    while lo < len(raw):
+        cut = raw.find(b"],[", lo + _READ_CHUNK)
+        hi = len(raw) if cut < 0 else cut + 2
+        val = _ints(np.frombuffer(raw, np.uint8, hi - lo, lo))
+        if val is None:
+            return None
+        out[k : k + len(val)] = val
+        k, lo = k + len(val), hi
+    return out.reshape(-1, 2) if k == 2 * m else None
 
 
 def _read_compact(text: str):

@@ -177,7 +177,16 @@ class TestScaling:
         # every side is checked before the first count, which would fail here
         monkeypatch.setattr(lgg.grid, "certify", None)
         assert run(["scaling", "--sides", "30,1000000"]) == 2
-        assert "--side 1000000" in capsys.readouterr().err
+        assert "--sides 1000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["construct", "grid", "--side", "5"], "--side 5"),
+        (["scaling", "--sides", "5,30"], "--sides 5"),
+    ], ids=["construct", "scaling"])
+    def test_bad_side_names_its_flag(self, capsys, args, flag):
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad grid parameters for {flag}: grid side must be at least 9\n")
 
     @pytest.mark.parametrize("mode", ["greedy", "analysis"])
     def test_counts_to_max_side_within_budget(self, tmp_path, mode):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lgg.geometry import (
 import lgg.io
 from lgg.cli import main
 from lgg.graph import Graph, GraphError, random_maximal_lgg
+from lgg.grid import GridParams, build
 from lgg.io import (
     FormatError,
     graph_from_json,
@@ -207,6 +209,39 @@ class TestWriterParity:
         assert graph_from_json(graph_to_json(g, METAS[2])) == g
 
 
+#: int64 values at the edges of what the writer formats
+EXTREMES = [0, 1, -1, 2**30, -2**30, -2**63, 2**63 - 1, 9, -10]
+#: pairs per formatting pass of the integer writer
+HALF = lgg.io._WRITE_CHUNK // 2
+
+
+class TestIntWriter:
+    """The integer pair writer formats as ``"[%d,%d]" %`` does."""
+
+    @pytest.mark.parametrize("m", [0, 1, 5, HALF - 1, HALF, HALF + 1, 2 * HALF + 1])
+    def test_matches_percent_format(self, m):
+        rng = np.random.default_rng(m)
+        big = rng.integers(-2**63, 2**63 - 1, (m, 2), np.int64, endpoint=True)
+        pairs = big >> rng.integers(0, 64, (m, 2))  # every digit count, both signs
+        k = min(len(EXTREMES), 2 * m)
+        pairs.ravel()[:k] = EXTREMES[:k]
+        want = ",".join(["[%d,%d]"] * m) % tuple(pairs.ravel().tolist())
+        assert "".join(lgg.io._int_pairs(pairs)) == want
+
+    def test_memory_is_bounded(self):
+        # several formatting passes and, read back, several reader pieces
+        g, _ = build(GridParams(g=150))
+        tracemalloc.start()
+        try:
+            text = graph_to_json(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edge_array) > HALF and len(text) > 2 * lgg.io._READ_CHUNK
+        assert peak < 3 * len(text)
+        assert graph_from_json(text) == g
+
+
 def _outcome(text: str):
     """What ``graph_from_json`` makes of ``text``: the graph's bytes or the error."""
     try:
@@ -254,6 +289,27 @@ CANONICAL = [
 ALPHABET = sorted(set('0123456789-+.eE,:[]{}" \t\n\rtrufalsNInyéx\x0c\xa0'))
 
 
+#: an integer document with negative and multi-digit numbers in both arrays
+INT_PIECES = ('{"edges":[[0,1],[0,3],[1,2],[2,4],[3,4],[4,5]],"meta":{"epsilon":0.0},'
+              '"points":[[0,0],[30,-1],[-25,7],[108,-64],[0,-999],[-1,1]]}\n')
+#: integers that the bulk reader takes: at most 18 digits, no leading zero
+FAST_TOKENS = ["0", "-0", "7", "-7", "999999999999999999", "-999999999999999999"]
+#: integer spellings that go to the general reader: 19 digits, leading
+#: zeros, a plus sign, an empty token and misplaced minus signs
+SLOW_TOKENS = ["1000000000000000000", "-1000000000000000000", "9223372036854775807",
+               "-9223372036854775808", "9223372036854775808", "01", "-01", "00", "+1",
+               "", "-", "--1", "1-", "1-2"]
+
+
+def _assert_edits_read_as_general(text: str, positions) -> None:
+    """Deleting, inserting or replacing one character at each of ``positions``."""
+    edits = [text[:k] + text[k + 1:] for k in positions if k < len(text)]
+    edits += [text[:k] + c + text[k + j:] for k in positions
+              for j in (0, 1) for c in ALPHABET]
+    for edited in edits:
+        assert _outcome(edited) == _general(edited), edited
+
+
 class TestCompactReader:
     """The writer's own layout reads exactly as ``json.loads`` reads it."""
 
@@ -269,11 +325,40 @@ class TestCompactReader:
     def test_single_byte_edits_read_as_the_general_reader(self, text):
         """Every deletion, insertion and replacement of one character."""
         assert _outcome(text)[0] == "graph"
-        edits = [text[:k] + text[k + 1:] for k in range(len(text))]
-        edits += [text[:k] + c + text[k + j:] for k in range(len(text) + 1)
-                  for j in (0, 1) for c in ALPHABET]
-        for edited in edits:
-            assert _outcome(edited) == _general(edited), edited
+        _assert_edits_read_as_general(text, range(len(text) + 1))
+
+    def test_edits_at_the_reader_cuts(self, monkeypatch):
+        """The edits at and next to every cut between the integer reader's pieces."""
+        monkeypatch.setattr(lgg.io, "_READ_CHUNK", 1)  # every joint is a cut
+        pieces = []
+        ints = lgg.io._ints
+        monkeypatch.setattr(lgg.io, "_ints", lambda b: pieces.append(b) or ints(b))
+        text = INT_PIECES
+        assert _outcome(text)[0] == "graph"
+        joints = [k for k in range(len(text)) if text.startswith("],[", k)]
+        assert len(pieces) == len(joints) + 2  # two spans, each cut at its joints
+        near = sorted({k for j in joints for k in range(j, j + 4)})
+        _assert_edits_read_as_general(text, near)
+
+    @pytest.mark.parametrize("token", FAST_TOKENS + SLOW_TOKENS)
+    @pytest.mark.parametrize("where", ["edges", "points"])
+    def test_integer_spellings(self, where, token, loads_lengths):
+        edges, points = "[[0,1]]", "[[0,0],[1,1]]"
+        if where == "edges":
+            edges = "[[0,1],[1,%s]]" % token
+        else:
+            points = "[[0,0],[1,1],[2,%s]]" % token
+        text = '{"edges":%s,"meta":{"epsilon":0.0},"points":%s}' % (edges, points)
+        got = _outcome(text)
+        assert (loads_lengths == [len('{"epsilon":0.0}')]) == (token in FAST_TOKENS)
+        assert got == _general(text)
+
+    @pytest.mark.parametrize("name", [k for k in GRAPHS if GRAPHS[k].points.is_exact])
+    def test_integer_document_loads_only_meta(self, name, loads_lengths):
+        text = graph_to_json(GRAPHS[name], METAS[2])
+        meta = text[text.index(',"meta":') + 8 : text.rindex(',"points":')]
+        assert graph_from_json(text) == GRAPHS[name]
+        assert loads_lengths == [len(meta)]
 
     def test_grid_document_never_reaches_the_general_reader(
         self, tmp_path, loads_lengths

@@ -1,14 +1,17 @@
 """Geometric graphs, the locally-Gabriel verifier, and a random generator.
 
-A ``Graph`` stores its edges as one canonical int64 array with a CSR
-adjacency; the tuple views ``edges`` and ``adjacency`` are built only when
-asked for.  A graph is valid (locally Gabriel) when no edge's closed
-diametral disk contains a neighbor of either endpoint.  ``verify`` checks
-the equivalent per-vertex formulation (every pair of edges at a shared
-vertex passes ``geometry.conflict_free``) in one ragged pass over the CSR
-rows, in (u, v, w) order.  It is the library's one formulation of the
-check; the tests hold it to a scalar reference of the per-edge disk
-definition (``tests/reference.py``).
+A ``Graph`` stores its edges as one canonical int64 array; its CSR
+adjacency (``indptr``, ``indices``) and the tuple views ``edges`` and
+``adjacency`` are built only when asked for.  A graph is valid (locally
+Gabriel) when no edge's closed diametral disk contains a neighbor of either
+endpoint.  ``verify`` checks the equivalent per-vertex formulation (every
+pair of edges at a shared vertex passes ``geometry.conflict_free``).  An
+integer vertex is certified by its angular neighbours alone: with its
+neighbours in exact angular order, d cyclically consecutive pairs decide
+all C(d, 2) (the lemma is in ``verify``).  Every other vertex goes through
+one ragged pass over its CSR rows, in (u, v, w) order.  It is the library's
+one formulation of the check; the tests hold it to a scalar reference of
+the per-edge disk definition (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ class Graph:
     canonicalized to ``i < j`` and sorted lexicographically, so equal
     graphs compare equal and serialized output is byte-stable.  The
     neighbors of ``u`` are ``indices[indptr[u]:indptr[u + 1]]``, ascending
-    (CSR).  ``edges`` and ``adjacency`` give the same data as tuples of
-    Python ints, built on first use.
+    (CSR, read-only).  The CSR, and ``edges`` and ``adjacency`` (the same
+    data as tuples of Python ints), are built on first use.
     """
 
     def __init__(self, points: PointSet, edges) -> None:
@@ -64,24 +67,14 @@ class Graph:
             if loop[k]:
                 raise GraphError(f"edge {k}: self-loop at vertex {i}")
             raise GraphError(f"edge {k}: {(i, j)} out of range for {n} points")
-        keys = np.sort(lo * n + hi)
+        # a stable sort is linear on edges already in order, as the reader's are
+        keys = np.sort(lo * n + hi, kind="stable")
         if (dup := keys[1:] == keys[:-1]).any():
             raise GraphError(f"duplicate edge {divmod(int(keys[1:][dup][0]), n)}")
-        lo, hi = np.divmod(keys, n)
-        # every edge from both ends, sorted by (vertex, neighbor): the edges
-        # are sorted by (lo, hi), so a stable sort on the source alone lists
-        # each vertex's lower neighbors (reversed half, first) and then its
-        # higher ones, each in ascending order
-        src = np.concatenate((hi, lo))
-        indices = np.concatenate((lo, hi))[np.argsort(src, kind="stable")]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        edge_array = np.column_stack((lo, hi))
-        for a in (edge_array, indptr, indices):
-            a.flags.writeable = False
-        vars(self).update(
-            points=points, edge_array=edge_array, indptr=indptr, indices=indices
-        )
+        lo = keys // n
+        edge_array = np.column_stack((lo, keys - lo * n))
+        edge_array.flags.writeable = False
+        vars(self).update(points=points, edge_array=edge_array)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Graph is immutable; cannot set {name!r}")
@@ -89,6 +82,26 @@ class Graph:
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        # every edge from both ends as the arc key u * n + v: one sort
+        # orders the arcs by (vertex, neighbor), and vertex u's arcs are
+        # the keys in [u * n, (u + 1) * n)
+        n, (lo, hi) = self.n, self.edge_array.T
+        arcs = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
+        indices = arcs - arcs // n * n
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -126,26 +139,92 @@ class ConflictReport:
         return not self.violations
 
 
-# About this many neighbor pairs per step of ``verify``; bounds its temporaries.
+# About this many neighbor pairs, or row positions, per step of ``verify``;
+# bounds its temporaries.
 _VERIFY_CHUNK = 1 << 13
+
+
+def _by_angle(xs, ys, indptr, indices) -> np.ndarray:
+    """Per row of an integer graph, whether its angular neighbours certify it.
+
+    Rows go in blocks of about ``_VERIFY_CHUNK`` positions.  Each row's arcs
+    a = v - u are ordered by the key (row, ``arctan2`` bin); the order is
+    then checked exactly, and the d cyclically consecutive pairs get the
+    pair test.  A row of degree 2 or more is certified when all pass.
+    """
+    ok = np.ones(len(indptr) - 1, dtype=bool)
+    # each block starts at the row that holds its first position
+    starts = np.searchsorted(indptr, np.arange(0, indptr[-1], _VERIFY_CHUNK), "right")
+    cuts = sorted({*(starts - 1).tolist(), len(ok)})
+    for r0, r1 in zip(cuts, cuts[1:]):
+        ptr = indptr[r0 : r1 + 1] - indptr[r0]
+        deg = np.diff(ptr)
+        u = np.repeat(np.arange(r0, r1), deg)
+        v = indices[indptr[r0] : indptr[r1]]
+        ax, ay = xs[v] - xs[u], ys[v] - ys[u]
+        # the row's first position above 2**32 bins of [0, 2 pi); a block
+        # spans fewer than 2**31 positions, so the key fits int64.  The rows
+        # are runs of the key already, which a stable sort merges fast
+        turn = np.floor(np.arctan2(ay, ax) * (2**31 / np.pi)).astype(np.int64)
+        key = np.repeat(ptr[:-1] << 32, deg) | turn & (2**32 - 1)
+        order = np.argsort(key, kind="stable")
+        ax, ay = ax[order], ay[order]
+        # b: the next arc of the row, cyclically
+        first, last = ptr[:-1][deg > 0], ptr[1:][deg > 0] - 1
+        nxt = np.arange(1, len(ax) + 1)
+        nxt[last] = first
+        bx, by = ax[nxt], ay[nxt]
+        # in order: b is in a later half plane, [0, pi) then [pi, 2 pi), or
+        # in the same one and not clockwise of a.  The products are at most
+        # 2**62 in size, and compared, not subtracted, so exact in int64
+        half = (ay < 0) | ((ay == 0) & (ax < 0))
+        good = (half < half[nxt]) | ((half == half[nxt]) & (ax * by >= ay * bx))
+        good[last] = True
+        # the pair test, u-relative: conflict_free(u, v, w) term for term
+        good &= outside_disk(ax, ay, ax - bx, ay - by)
+        good &= outside_disk(bx, by, bx - ax, by - ay)
+        ok[u[~good]] = False
+    return ok
 
 
 def verify(g: Graph) -> ConflictReport:
     """All conflicting neighbor pairs, one record per (u, {v, w}), sorted.
 
-    Quadratic in vertex degrees: each position p of ``indices`` pairs with
-    the later positions of its row, in chunks of about ``_VERIFY_CHUNK``
-    pairs cut on one running count.  Rows and neighbors ascend, so the
-    pairs come out in (u, v, w) order.
+    Integer rows are first certified by their angular neighbours, by this
+    lemma.  Let u's neighbours, as vectors a_1..a_d from u (d >= 2), be in
+    strictly increasing angle, and let every cyclically consecutive pair,
+    (a_i, a_i+1) and (a_d, a_1), pass the pair test: triangle u a_i a_i+1
+    is acute at a_i and at a_i+1.  Then every pair passes.  Proof: the fan
+    triangles make the polygon a_1..a_d locally convex, so it is convex
+    (when one angular gap is 180 degrees or more, take the polygon u,
+    a_1..a_d instead).  At each a_i the polygon lies in the cone of its two
+    edges, which the ray a_i -> u splits into two acute parts, so the angle
+    u a_i a_j is below 90 degrees for every j.  Two arcs on one ray are
+    consecutive in the order and fail the pair test, so a row that passes
+    has strictly increasing angles; a conflict-free row in order passes.
+
+    Every other row (misordered by ``arctan2``, with a conflict, or of a
+    real-coordinate graph) goes through the ragged pass: each of its
+    positions p pairs with the later positions of its row, in chunks of
+    about ``_VERIFY_CHUNK`` pairs cut on one running count.  Rows and
+    neighbors ascend, so the pairs come out in (u, v, w) order.
     """
     xs, ys, eps, indptr = g.points.xs, g.points.ys, g.points.eps, g.indptr
     deg = np.diff(indptr)
+    rows = np.flatnonzero(deg > 1)
+    if g.points.is_exact:
+        rows = rows[~_by_angle(xs, ys, indptr, g.indices)[rows]]
+    # those rows alone, as a CSR (ptr, nbrs)
+    deg = deg[rows]
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(deg, out=ptr[1:])
+    nbrs = g.indices[np.repeat(indptr[rows] - ptr[:-1], deg) + np.arange(ptr[-1])]
     # run[p]: the pairs of the positions before p.  Position p has d - 1
     # later positions at the start of a row of degree d, one less at each
     # step along it; one sum counts them, a second runs over positions
-    run = np.full(len(g.indices) + 1, -1, dtype=np.int64)
+    run = np.full(len(nbrs) + 1, -1, dtype=np.int64)
     run[0] = 0
-    run[indptr[:-1][deg > 0] + 1] = deg[deg > 0] - 1
+    run[ptr[:-1] + 1] = deg - 1
     np.cumsum(np.cumsum(run, out=run), out=run)
     # each chunk starts at the position that holds its first pair
     firsts = np.append(np.arange(0, run[-1], _VERIFY_CHUNK), run[-1])
@@ -153,10 +232,10 @@ def verify(g: Graph) -> ConflictReport:
     found: list[tuple[int, int, int]] = []
     for a, b in zip(cuts, cuts[1:]):
         pos, later = np.arange(a, b), np.diff(run[a : b + 1])
-        u = np.repeat(np.searchsorted(indptr, pos, "right") - 1, later)
-        v = np.repeat(g.indices[pos], later)
+        u = np.repeat(rows[np.searchsorted(ptr, pos, "right") - 1], later)
+        v = np.repeat(nbrs[pos], later)
         # pair t of the pass joins its position p to p + 1 + t - run[p]
-        w = g.indices[np.arange(run[a], run[b]) + np.repeat(pos + 1 - run[a:b], later)]
+        w = nbrs[np.arange(run[a], run[b]) + np.repeat(pos + 1 - run[a:b], later)]
         bad = ~conflict_free(xs[u], ys[u], xs[v], ys[v], xs[w], ys[w], eps)
         found += zip(u[bad].tolist(), v[bad].tolist(), w[bad].tolist())
     # then label only the conflicting triples

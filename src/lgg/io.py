@@ -194,7 +194,8 @@ def _ints(b: np.ndarray) -> np.ndarray | None:
     """The integers of ``b``, bytes of a framed span cut at joints, or None.
 
     Tokens are the runs of ``-`` and digits (after the frame check and the
-    ``+`` test, all else is brackets and commas).  Each must read
+    ``+`` test, all else is brackets and commas).  Each must follow ``[`` or
+    ``,`` and precede ``,`` or ``]`` inside ``b``, and read
     ``-?(0|[1-9][0-9]*)`` with at most 18 digits, so that it is exact in
     int64 and is the value ``json.loads`` gives; the digits of every token
     are summed at once, one column at a time from the right.
@@ -202,6 +203,11 @@ def _ints(b: np.ndarray) -> np.ndarray | None:
     num = (b >= ord("-")) & (b <= ord("9"))
     bounds = np.flatnonzero(np.diff(num, prepend=False, append=False))
     starts, ends = bounds[::2], bounds[1::2]
+    # clipped at the ends of b, the neighbour is the token's own byte
+    before, after = b.take(starts - 1, mode="clip"), b.take(ends, mode="clip")
+    if not np.all(((before == ord("[")) | (before == ord(",")))
+                  & ((after == ord(",")) | (after == ord("]")))):
+        return None
     neg = b[starts] == ord("-")
     first = starts + neg
     n = ends - first
@@ -226,13 +232,15 @@ def _flat_pairs(span: str, kinds: tuple) -> np.ndarray | None:
     """``span``, the writer's ``[[a,b],...]``, read as flat numbers.
 
     With its number characters deleted, the span must be the brackets and
-    commas of m pairs, and its joints must be the literal ``[[``, ``],[``
-    and ``]]``, so that numbers sit only inside pairs.  A span with a
-    fraction or exponent (a float to ``json``) becomes float64: its joints
-    replaced by commas, one flat ``json.loads`` reads the 2m numbers.  Else
-    ``_ints`` reads them into int64, in pieces of about ``_READ_CHUNK``
-    bytes cut at joints.  None if the span is not so, a float is not in
-    ``kinds``, or a number is not one ``_ints`` or the dtype takes.
+    commas of m pairs, and numbers must sit only inside pairs.  A span with
+    a fraction or exponent (a float to ``json``) becomes float64 if its
+    joints are the literal ``[[``, ``],[`` and ``]]``: those replaced by
+    commas, one flat ``json.loads`` reads the 2m numbers.  Else ``_ints``
+    reads them into int64, in pieces of about ``_READ_CHUNK`` bytes cut at
+    joints; a token there sits after ``[`` or ``,`` and before ``,`` or
+    ``]``, in a pair's two number slots, and 2m tokens fill them all.  None
+    if the span is not so, a float is not in ``kinds``, or a number is not
+    one ``_ints`` or the dtype takes.
     """
     real = any(c in span for c in ".eE")
     if (real and float not in kinds) or not span.isascii():
@@ -243,10 +251,11 @@ def _flat_pairs(span: str, kinds: tuple) -> np.ndarray | None:
     raw = span.encode("ascii")
     frame = raw.translate(None, b"0123456789+-.eE")
     m = len(frame) // 4
-    joints = raw[:2] == b"[[" and raw[-2:] == b"]]" and raw.count(b"],[") == m - 1
-    if not joints or frame != b"[" + (b"[,]," * m)[:-1] + b"]":
+    if frame != b"[" + (b"[,]," * m)[:-1] + b"]":
         return None
     if real:
+        if raw[:2] != b"[[" or raw[-2:] != b"]]" or raw.count(b"],[") != m - 1:
+            return None
         try:
             flat = json.loads("[" + span[2:-2].replace("],[", ",") + "]")
             return np.fromiter(flat, dtype, len(flat)).reshape(-1, 2)

@@ -18,6 +18,8 @@ from lgg.geometry import (
     MIN_REAL_COORD,
     PointSet,
 )
+from lgg.grid import GridParams, build
+from lgg.io import graph_to_json
 from lgg.graph import (
     ConflictReport,
     Graph,
@@ -108,6 +110,30 @@ class TestGraph:
                     for u in range(n)
                 )
                 assert np.diff(g.indptr).tolist() == list(map(len, g.adjacency))
+
+    def test_csr_is_built_when_first_used(self):
+        g, _ = build(GridParams(g=30))
+        graph_to_json(g, {})
+        assert "_csr" not in vars(g)  # neither the grid nor the writer reads it
+        deg = np.diff(g.indptr)
+        assert "_csr" in vars(g) and deg.sum() == 2 * len(g.edge_array)
+        for arr in (g.indptr, g.indices, g.edge_array):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        for name in ("indptr", "indices", "_csr", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+
+    def test_construction_memory_follows_the_edges(self):
+        # at g = 300 the kept edge array is 3.9 MiB; the CSR is not built
+        g, _ = build(GridParams(g=300))
+        tracemalloc.start()
+        try:
+            Graph(g.points, g.edge_array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.edge_array.nbytes
 
 
 class TestVerify:
@@ -240,7 +266,7 @@ class TestVerify:
             keep = rng.sample(g.edges, len(g.edges) // 2)
             assert verify(Graph(ps, tuple(keep))).valid
 
-    @pytest.mark.parametrize("chunk", [1, 8, 100, 1 << 12])
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 100, 1 << 12])
     def test_high_degree_blocks_match_direct_definition(self, monkeypatch, chunk):
         # the hubs of degree 95 and 150 have more pairs than a chunk of 4096;
         # at chunk 1 a chunk holds one neighbor position and its later ones
@@ -267,6 +293,102 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+_L = 2**30
+#: rows that the angular certificate must order exactly, as (hub, neighbours)
+ANGULAR_ROWS = {
+    # 2**-30 rad apart, in one arctan2 bin of the order: valid, and in one
+    # of the two labellings of the pair misordered (the sort sees one key)
+    "arctan2-tie": ((-_L, _L), [(_L - 2, 0), (_L - 1, 2), (-_L, -_L)]),
+    "arctan2-tie-swapped": ((-_L, _L), [(_L - 1, 2), (_L - 2, 0), (-_L, -_L)]),
+    # arctan2 cannot order these; the pair conflicts
+    "near-parallel": ((-_L, 0), [(_L, 1), (_L - 1, 1), (0, _L)]),
+    "one-ray": ((0, 0), [(1, 1), (-2, 5), (3, 3)]),
+    "one-ray-only": ((0, 0), [(2, 2), (4, 4)]),
+    "opposite": ((0, 0), [(5, 0), (-7, 0)]),
+    "opposite-and-third": ((0, 0), [(5, 0), (0, 3), (-7, 0)]),
+    "opposite-far-third": ((0, 0), [(5, 0), (0, 9), (-7, 0)]),
+    # the one conflict is between the last arc (343 degrees) and the first
+    "wrap-conflict": ((0, 0), [(10, 0), (9, 4), (10, -3)]),
+    "one-half-plane": ((0, 0), [(5, 0), (4, 3), (3, 4)]),
+    "right-angle": ((0, 0), [(5, 0), (0, 5)]),
+    "degree-1": ((0, 0), [(3, 1)]),
+    "degree-2": ((0, 0), [(3, 1), (-1, 4)]),
+    "degree-3": ((0, 0), [(3, 1), (-1, 4), (-2, -3)]),
+    "degree-3-conflict": ((0, 0), [(3, 1), (6, 3), (-2, -3)]),
+    "corners": ((-_L, -_L), [(_L, _L), (_L, -_L), (-_L, _L), (_L, _L - 1),
+                             (_L - 1, _L), (-_L + 1, _L), (_L, -_L + 1)]),
+    # on one circle about the corner, so every pair is valid
+    "corners-valid": ((-_L, -_L), [(_L // 4, -_L), (-_L, _L // 4),
+                                   (-_L // 4, 0), (0, -_L // 4)]),
+    "corner-hub-centre": ((0, 0), [(_L, _L), (-_L, _L), (-_L, -_L), (_L, -_L)]),
+}
+
+
+def _uncertified(g: Graph) -> list[int]:
+    """Rows of degree 2 or more that the angular pass leaves to the pairwise one."""
+    ok = lgg.graph._by_angle(g.points.xs, g.points.ys, g.indptr, g.indices)
+    return np.flatnonzero(~ok & (np.diff(g.indptr) > 1)).tolist()
+
+
+class TestAngularCertificate:
+    """``verify`` certifies integer rows by their angular neighbours."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, lgg.graph._VERIFY_CHUNK])
+    @pytest.mark.parametrize("name", ANGULAR_ROWS)
+    def test_rows_match_direct_definition(self, monkeypatch, chunk, name):
+        monkeypatch.setattr(lgg.graph, "_VERIFY_CHUNK", chunk)
+        hub, nbrs = ANGULAR_ROWS[name]
+        ps = PointSet.of([hub, *nbrs])
+        # the hub's row, and each neighbour joined to the next as well
+        edges = [(0, k) for k in range(1, len(nbrs) + 1)]
+        for extra in ([], [(k, k + 1) for k in range(1, len(nbrs))]):
+            g = Graph(ps, edges + extra)
+            report = verify(g)
+            assert report == verify_direct(g)
+            # a row is certified only if it is valid
+            assert {v.u for v in report.violations} <= set(_uncertified(g))
+
+    def test_arctan2_tie_is_caught_by_the_exact_order(self):
+        certified = []
+        for name in ("arctan2-tie", "arctan2-tie-swapped"):
+            hub, nbrs = ANGULAR_ROWS[name]
+            g = Graph(PointSet.of([hub, *nbrs]), [(0, 1), (0, 2), (0, 3)])
+            assert verify(g).valid
+            certified.append(_uncertified(g) == [])
+        assert sorted(certified) == [False, True]
+
+    @pytest.mark.parametrize("name", ["opposite", "opposite-and-third",
+                                      "opposite-far-third", "one-half-plane",
+                                      "right-angle", "degree-2", "degree-3",
+                                      "corners-valid", "corner-hub-centre"])
+    def test_valid_rows_in_order_are_certified(self, name):
+        hub, nbrs = ANGULAR_ROWS[name]
+        g = Graph(PointSet.of([hub, *nbrs]), [(0, k) for k in range(1, len(nbrs) + 1)])
+        assert verify(g).valid and _uncertified(g) == []
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_random_lattice_graphs_match_direct_definition(self, monkeypatch, chunk):
+        # small lattices: many neighbours on one ray, opposite and at right angles
+        monkeypatch.setattr(lgg.graph, "_VERIFY_CHUNK", chunk)
+        rng = random.Random(31 + chunk)
+        for _ in range(150):
+            ps = random_int_points(rng, 14, 3)
+            g = random_maximal_lgg(ps, rng.randrange(100))
+            extra = rng.sample(list(combinations(range(14), 2)), rng.randrange(0, 4))
+            g = Graph(ps, sorted(set(g.edges) | set(extra)))
+            assert verify(g) == verify_direct(g)
+
+    def test_valid_graphs_reach_no_pairwise_test(self, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("a row reached the pairwise pass")
+
+        g, _ = build(GridParams(g=60))
+        rng = random.Random(1024)
+        lgg_1024 = random_maximal_lgg(random_int_points(rng, 1024, 2**20), 3)
+        monkeypatch.setattr(lgg.graph, "conflict_free", no_pairs)
+        assert verify(g).valid and verify(lgg_1024).valid
 
 
 class TestSplitmix:

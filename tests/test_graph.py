@@ -479,7 +479,10 @@ class TestRandomMaximal:
 
     @pytest.mark.parametrize("block, cells", [(1, 1), (7, 50), (64, 1000)])
     def test_block_and_chunk_sizes_keep_the_result(self, monkeypatch, block, cells):
-        # many block boundaries, and narrowing one to a few rows at a time
+        # many block boundaries, so many passes whose running top-k cut
+        # falls slab by slab; one-row slabs (1), slabs of a few short rows
+        # at the foot of the triangle (7) or of a few long ones (100); and
+        # narrowing one to a few rows at a time
         from conftest import real_points
 
         rng = random.Random(21)
@@ -487,8 +490,32 @@ class TestRandomMaximal:
         want = [[random_maximal_direct(ps, seed) for seed in range(3)] for ps in sets]
         monkeypatch.setattr(lgg.graph, "_BLOCK", block)
         monkeypatch.setattr(lgg.graph, "_NARROW_CELLS", cells)
-        for ps, edges in zip(sets, want):
-            assert [random_maximal_lgg(ps, seed).edges for seed in range(3)] == edges
+        for stream in (1, 7, 100):
+            monkeypatch.setattr(lgg.graph, "_STREAM_CELLS", stream)
+            for ps, edges in zip(sets, want):
+                assert [random_maximal_lgg(ps, seed).edges for seed in range(3)] == edges
+
+    @pytest.mark.parametrize("short", [0, 1])
+    @pytest.mark.parametrize("stream", [1, 10, 1 << 16])
+    def test_first_pass_exactly_whole_or_just_short(self, monkeypatch, short, stream):
+        # _BLOCK = C(n, 2): the first block is every pair, and its pass the
+        # last; _BLOCK = C(n, 2) - 1: one pair is left for a second pass.  On
+        # an acute triangle every pair is an edge, so that pair is live
+        from conftest import real_points
+
+        rng = random.Random(23)
+        sets = [
+            PointSet.of([(0, 0), (10, 1), (4, 9)]),
+            random_int_points(rng, 24, 30),
+            real_points(rng, 24),
+        ]
+        assert random_maximal_direct(sets[0], 0) == ((0, 1), (0, 2), (1, 2))
+        monkeypatch.setattr(lgg.graph, "_STREAM_CELLS", stream)
+        for ps in sets:
+            n = len(ps)
+            monkeypatch.setattr(lgg.graph, "_BLOCK", n * (n - 1) // 2 - short)
+            for seed in range(3):
+                assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
 
     def test_seed_is_any_integer(self):
         ps = random_int_points(random.Random(19), 40, 1000)
@@ -503,11 +530,14 @@ class TestRandomMaximal:
         with pytest.raises(TypeError):
             random_maximal_lgg(ps, 5.0)
 
-    def test_memory_is_bounded(self):
-        # criterion 5's point set: 523,776 candidates
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_memory_is_bounded(self, n):
+        # criterion 5's point set at n = 1,024 (523,776 candidates): the
+        # n x n ``alive`` matrix and a few MiB of slab and block, never an
+        # array over all C(n, 2) candidates
         rng = random.Random(505)
         raw = set()
-        while len(raw) < 1024:
+        while len(raw) < n:
             raw.add((rng.randrange(0, 2**20), rng.randrange(0, 2**20)))
         ps = PointSet.of(sorted(raw))
         tracemalloc.start()
@@ -516,7 +546,7 @@ class TestRandomMaximal:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < n * n + 4 * 2**20
 
     def test_result_is_valid_and_maximal(self):
         rng = random.Random(9)

@@ -18,14 +18,14 @@ The walk W alone decides the grid (``certify``).  If every offset lies in
 1 <= y <= x <= g // 3, no index wraps and every vertex's neighbor offsets
 lie in +-W; in integer arithmetic the conflict test depends only on
 offsets, and every center holds all of +-W.  So the grid is a locally
-Gabriel graph iff +-W is pairwise ``conflict_free`` at the origin (the
-one call to it here), and the pairs of W decide that: w1 . w2 > 0 on W,
-so both disk tests of (w1, -w2) read w1 . w2 + |w|^2 > 0, and a pair of
--W has the dot products of its mirror in W.  The edge count is a sum
-over W.  Neither needs the graph.  ``build`` hands each edge once to
-``Graph``, which keys, sorts and checks them: for an offset (x, y) the
-lower ends are the center block C and the part of C - (x, y) outside C,
-the two blocks that the edge count sums.
+Gabriel graph iff the star of +-W at the origin (the origin joined to each
+offset) is one, and ``graph.verify`` decides that: on a valid walk its
+angular-neighbour certificate makes the 2|W| cyclically consecutive pair
+tests of the origin's row.  The edge count is a sum over W.  Neither
+needs the grid graph.  ``build`` hands each edge once to ``Graph``, which
+keys, sorts and checks them: for an offset (x, y) the lower ends are the
+center block C and the part of C - (x, y) outside C, the two blocks that
+the edge count sums.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import PointSet, conflict_free
-from .graph import Graph, InvariantViolation
+from .geometry import PointSet
+from .graph import Graph, InvariantViolation, verify
 
 
 #: The largest grid side g with g**4 < 2**63, so that the int64 edge keys
@@ -164,7 +164,8 @@ def neighbors_q1(params: GridParams) -> list[tuple[int, int]]:
 
 
 def certify(params: GridParams) -> GridBuildStats:
-    """Certify the grid from its Q1 walk alone, and count its edges.
+    """Certify the grid by the star of +-W at the origin, decided by
+    ``verify``, and count its edges; both need only the Q1 walk W.
 
     Raises ``InvariantViolation`` if the grid would not be locally Gabriel;
     nothing of size n = g * g is built.
@@ -179,15 +180,16 @@ def _certify(g: int, walk: list[tuple[int, int]]) -> GridBuildStats:
             raise InvariantViolation(
                 f"grid walk offset {(x, y)} lies outside 1 <= y <= x <= {s}"
             )
-    # the pairs of W decide all of +-W (module docstring)
+    # the star of +-W at the origin: vertex 0 joined to each offset
     offsets = np.array(walk, dtype=np.int64)
-    i, j = np.triu_indices(len(offsets), 1)
-    (ax, ay), (bx, by) = offsets[i].T, offsets[j].T
-    if (bad := ~conflict_free(0, 0, ax, ay, bx, by)).any():
-        k = int(bad.argmax())
+    offsets = np.concatenate(([[0, 0]], offsets, -offsets))
+    leaves = np.arange(1, len(offsets))
+    star = Graph(PointSet(*offsets.T), np.column_stack((0 * leaves, leaves)))
+    if bad := verify(star).violations:
+        v = bad[0]
         raise InvariantViolation(
-            f"grid walk offsets {tuple(offsets[i[k]].tolist())} and "
-            f"{tuple(offsets[j[k]].tolist())} conflict at the center"
+            f"grid walk offsets {tuple(offsets[v.v].tolist())} and "
+            f"{tuple(offsets[v.w].tolist())} conflict at the center"
         )
     # offset (x, y) joins the w x w center block C to C + (x, y): 2 w^2 edges
     # less the (w - x)(w - y) centers in both; x, y <= s <= w

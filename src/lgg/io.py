@@ -16,21 +16,20 @@ The writer formats the coordinate and edge arrays straight into the text
 around ``json.dumps`` of ``meta``: integer pairs with one numpy kernel over
 a character matrix, ``_WRITE_CHUNK`` numbers at a time, with no Python int
 made per number; float pairs with ``%r``, the repr ``json`` writes.  The
-JSON reader reads the writer's own layout (those keys in that order, no
-whitespace but at the end) array by array, once a span's brackets and
-commas are those of a list of pairs.  An all-integer span is read from its
-bytes into int64 in pieces of about ``_READ_CHUNK`` bytes, with no Python
-int per number, if every number is ``-?(0|[1-9][0-9]*)`` with at most 18
-digits: exact in int64 and the value ``json`` gives.  A span with a float
-loses its brackets and one flat ``json.loads`` reads it into float64.
-Every other file, and every one that path cannot read as ``json.loads``
-would (an integer of 19 digits or more, a leading zero or ``+``, a float
-endpoint, a bad ``meta``), goes through the general reader: ``json.loads``
-of the whole text, then one ``geometry.pair_array`` call per array (that of
-the edges made by ``Graph``), the library's one conversion of outside
-pairs: arrays of two-element arrays, coordinates ints or floats, endpoints
-ints, never booleans, each checked over the whole array, with the items
-walked only when a check fails, to name the first bad one.  So only the
+JSON reader reads the writer's own integer layout (those keys in that
+order, no whitespace but at the end) array by array, once a span's brackets
+and commas are those of a list of pairs.  Each span is read from its bytes
+into int64 in pieces of about ``_READ_CHUNK`` bytes, with no Python int per
+number, if every number is ``-?(0|[1-9][0-9]*)`` with at most 18 digits:
+exact in int64 and the value ``json`` gives.  Every other file, and every
+one that path cannot read as ``json.loads`` would (a float anywhere, an
+integer of 19 digits or more, a leading zero or ``+``, a bad ``meta``),
+goes through the general reader: ``json.loads`` of the whole text, then
+one ``geometry.pair_array`` call per array (that of the edges made by
+``Graph``), the library's one conversion of outside pairs: arrays of
+two-element arrays, coordinates ints or floats, endpoints ints, never
+booleans, each checked over the whole array, with the items walked only
+when a check fails, to name the first bad one.  So only the
 general reader raises a parse error, and its messages are the same for
 every layout.  ``Graph`` takes the int64 edge array as it is, so no list is
 scanned twice; range and duplicate checks are left to ``PointSet`` and
@@ -193,12 +192,12 @@ def _epsilon(meta) -> float:
 def _ints(b: np.ndarray) -> np.ndarray | None:
     """The integers of ``b``, bytes of a framed span cut at joints, or None.
 
-    Tokens are the runs of ``-`` and digits (after the frame check and the
-    ``+`` test, all else is brackets and commas).  Each must follow ``[`` or
-    ``,`` and precede ``,`` or ``]`` inside ``b``, and read
-    ``-?(0|[1-9][0-9]*)`` with at most 18 digits, so that it is exact in
-    int64 and is the value ``json.loads`` gives; the digits of every token
-    are summed at once, one column at a time from the right.
+    Tokens are the runs of ``-`` and digits (after the frame check, all
+    else is brackets and commas).  Each must follow ``[`` or ``,`` and
+    precede ``,`` or ``]`` inside ``b``, and read ``-?(0|[1-9][0-9]*)`` with
+    at most 18 digits, so that it is exact in int64 and is the value
+    ``json.loads`` gives; the digits of every token are summed at once, one
+    column at a time from the right.
     """
     num = (b >= ord("-")) & (b <= ord("9"))
     bounds = np.flatnonzero(np.diff(num, prepend=False, append=False))
@@ -228,40 +227,23 @@ def _ints(b: np.ndarray) -> np.ndarray | None:
     return val
 
 
-def _flat_pairs(span: str, kinds: tuple) -> np.ndarray | None:
-    """``span``, the writer's ``[[a,b],...]``, read as flat numbers.
+def _flat_pairs(span: str) -> np.ndarray | None:
+    """``span``, the writer's ``[[a,b],...]`` of integers, read into int64.
 
-    With its number characters deleted, the span must be the brackets and
-    commas of m pairs, and numbers must sit only inside pairs.  A span with
-    a fraction or exponent (a float to ``json``) becomes float64 if its
-    joints are the literal ``[[``, ``],[`` and ``]]``: those replaced by
-    commas, one flat ``json.loads`` reads the 2m numbers.  Else ``_ints``
-    reads them into int64, in pieces of about ``_READ_CHUNK`` bytes cut at
-    joints; a token there sits after ``[`` or ``,`` and before ``,`` or
-    ``]``, in a pair's two number slots, and 2m tokens fill them all.  None
-    if the span is not so, a float is not in ``kinds``, or a number is not
-    one ``_ints`` or the dtype takes.
+    With its digits and ``-`` deleted, the span must be the brackets and
+    commas of m pairs, so a ``+``, a fraction or an exponent fails there.
+    ``_ints`` reads the numbers in pieces of about ``_READ_CHUNK`` bytes
+    cut at joints; a token there sits after ``[`` or ``,`` and before
+    ``,`` or ``]``, in a pair's two number slots, and 2m tokens fill them
+    all.  None if the span is not so, or a number is not one ``_ints``
+    takes.
     """
-    real = any(c in span for c in ".eE")
-    if (real and float not in kinds) or not span.isascii():
+    if not span.isascii():
         return None
-    dtype = np.float64 if real else np.int64
-    if span == "[]":
-        return np.empty((0, 2), dtype)
     raw = span.encode("ascii")
-    frame = raw.translate(None, b"0123456789+-.eE")
+    frame = raw.translate(None, b"0123456789-")
     m = len(frame) // 4
     if frame != b"[" + (b"[,]," * m)[:-1] + b"]":
-        return None
-    if real:
-        if raw[:2] != b"[[" or raw[-2:] != b"]]" or raw.count(b"],[") != m - 1:
-            return None
-        try:
-            flat = json.loads("[" + span[2:-2].replace("],[", ",") + "]")
-            return np.fromiter(flat, dtype, len(flat)).reshape(-1, 2)
-        except (ValueError, OverflowError):
-            return None
-    if b"+" in raw:
         return None
     out, k, lo = np.empty(2 * m, np.int64), 0, 0
     while lo < len(raw):
@@ -293,8 +275,8 @@ def _read_compact(text: str):
         eps = _epsilon(json.loads(text[end + 8 : start]))
     except (ValueError, AttributeError, RecursionError):
         return None
-    xy = _flat_pairs(body[start + 10 : -1], (int, float))
-    edges = None if xy is None else _flat_pairs(text[9:end], (int,))
+    xy = _flat_pairs(body[start + 10 : -1])
+    edges = None if xy is None else _flat_pairs(text[9:end])
     return None if edges is None else (xy, edges, eps)
 
 

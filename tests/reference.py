@@ -23,8 +23,10 @@ vectorisation, so that a test can hold the fast library path to it:
 * ``box_greedy_step``: the greedy grid step as an argmin over the whole
   box of candidate offsets, against ``lgg.grid.next_neighbor``'s one
   interval per column;
-* ``signed_walk_conflict``: the grid certificate over all 2|W| neighbor
-  offsets +-W of a center, against ``lgg.grid``'s pairs of W alone;
+* ``signed_walk_conflict``: the grid certificate as every pair of the
+  2|W| neighbor offsets +-W of a center, through the public
+  ``lgg.geometry.conflict_kind``, against ``lgg.grid``'s star of +-W,
+  which ``lgg.graph.verify`` decides by angular neighbours;
 * ``include_first_max``: an include-first DFS for the maximum independent
   set of a conflict graph, against ``lgg.extremal``'s branch and bound;
 * ``lis_dp``: the O(n^2) dynamic programme for the longest monotone

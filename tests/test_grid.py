@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import lgg.graph
 import lgg.grid
 from lgg.cli import main
 from lgg.graph import InvariantViolation, verify
@@ -302,9 +303,9 @@ class TestCertify:
         with pytest.raises(InvariantViolation, match="conflict at the center"):
             build(params)
 
-    def test_pairs_of_w_decide_all_of_plus_minus_w(self):
+    def test_star_of_plus_minus_w_matches_the_signed_reference(self):
         rng = random.Random(20)
-        passed = failed = 0
+        walks = []
         for k in range(400):
             s = rng.randint(3, 40)
             box = [(x, y) for x in range(1, s + 1) for y in range(1, x + 1)]
@@ -313,17 +314,34 @@ class TestCertify:
                 walk = rng.sample(walk, rng.randint(1, len(walk)))
             else:
                 walk = rng.sample(box, rng.randint(1, min(8, len(box))))
+            walks.append((3 * s, walk))
+        # the real walks, |W| up to 402
+        walks += [(g, neighbors_q1(GridParams(g=g, mode=mode)))
+                  for g in (3000, MAX_SIDE) for mode in Mode]
+        passed = failed = 0
+        for g, walk in walks:
             if (pair := signed_walk_conflict(walk)) is None:
-                assert _certify(3 * s, walk).q1_count == len(walk)
+                assert _certify(g, walk).q1_count == len(walk)
                 passed += 1
             else:
                 a, b = pair
                 with pytest.raises(InvariantViolation) as err:
-                    _certify(3 * s, walk)
+                    _certify(g, walk)
                 want = f"grid walk offsets {a} and {b} conflict at the center"
                 assert str(err.value) == want
                 failed += 1
         assert passed > 100 and failed > 100
+
+    def test_certify_reaches_no_pairwise_test(self, monkeypatch):
+        # the star's origin row is certified by its 2|W| angular neighbours
+        def no_pairs(*args):
+            raise AssertionError("the star reached the pairwise pass")
+
+        monkeypatch.setattr(lgg.graph, "conflict_free", no_pairs)
+        for g in (30, 300, 3000, MAX_SIDE):
+            for mode in Mode:
+                params = GridParams(g=g, mode=mode)
+                assert certify(params).q1_count == len(neighbors_q1(params))
 
     def test_offset_outside_box_raises(self, monkeypatch):
         # x = s + 1 would reach past the grid from the last center

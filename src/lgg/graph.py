@@ -16,6 +16,8 @@ the per-edge disk definition (``tests/reference.py``).
 ``random_maximal_lgg`` keeps the n x n bool matrix ``alive``, one row slab
 of candidates and one block of them: a candidate's key is a function of its
 index, made again on each pass over the slabs, never stored for all C(n, 2).
+A block's rounds decide on the block alone, with ``conflict_free``; the rows
+of ``alive`` are narrowed only when another pass follows.
 """
 
 from __future__ import annotations
@@ -288,7 +290,11 @@ _NARROW_CELLS = 1 << 14
 
 
 def _narrow(alive, xs, ys, eps: float, us, vs) -> None:
-    """Narrow rows u and v of ``alive`` for the vertex-disjoint new edges uv."""
+    """Narrow rows u and v of ``alive`` for the vertex-disjoint new edges uv.
+
+    Called once per round of a decided block, and only when another pass
+    over the slabs follows to read ``alive``.
+    """
     rows = max(1, _NARROW_CELLS // xs.shape[0])
     for s in range(0, us.shape[0], rows):
         u, v = us[s : s + rows], vs[s : s + rows]
@@ -355,12 +361,15 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
     already inserted at ``a``; a pair (u, v) is live while ``alive[u, v]``
     and ``alive[v, u]``, and once dead stays dead.  Each block, the
     ``_BLOCK`` live pairs of smallest key (``_next_block``), is decided in
-    rounds: a round inserts every ready pair (the earliest live pair at
-    both its endpoints), narrows their rows, and drops the dead pairs.  A
-    decided block is all dead (``_narrow`` kills an inserted pair too), so
-    the next block's keys are all above it; a pass that finds at most
-    ``_BLOCK`` live pairs makes the last block.  Returns the inserted pairs
-    as an int64 (m, 2) array.
+    rounds that read only the block: a round inserts every ready pair (the
+    earliest live pair at both its endpoints), drops them from the block,
+    and keeps a remaining pair (a, b) only if ``conflict_free`` holds
+    against the new edge at a and at b, if any.  Then, unless the block was
+    the last (its pass found at most ``_BLOCK`` live pairs), ``_narrow``
+    narrows the rows of ``alive`` by each round's edges.  Its row tests are
+    the rounds' tests term for term, so the decided block is all dead
+    (``_narrow`` kills an inserted pair too) and the next block's keys are
+    all above it.  Returns the inserted pairs as an int64 (m, 2) array.
     """
     n = xs.shape[0]
     alive = np.ones((n, n), dtype=bool)
@@ -372,6 +381,7 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
     m = max(1, round(int(off[-1]) / _STREAM_CELLS))
     starts = np.searchsorted(off, np.arange(m) * off[-1] // m, "right") - 1
     cuts = sorted({*starts.tolist(), n - 1})
+    partner = np.full(n, -1)
     taken, whole = [], True
     while True:
         ts, count = _next_block(alive, off, cuts, base, whole)
@@ -381,19 +391,34 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
         q = (np.sqrt(8.0 * (off[-1] - 1 - ts) + 1) - 1) // 2
         us = n - 2 - q.astype(np.int64)
         vs = ts - off[us] + us + 1
-        # every pair of the block is live here, in key order
+        # every pair of the block is live here, in key order; the rounds
+        # read only the block: the new edge az kills (a, b) unless
+        # conflict_free(a, z, b), which is ``_narrow``'s test term for term
+        rounds = []
         while us.shape[0]:
             at = np.arange(us.shape[0])
             first = np.full(n, us.shape[0])
             np.minimum.at(first, us, at)
             np.minimum.at(first, vs, at)
             ready = (first[us] == at) & (first[vs] == at)
-            taken.append(np.column_stack((us[ready], vs[ready])))
-            _narrow(alive, xs, ys, eps, us[ready], vs[ready])
-            live = alive[us, vs] & alive[vs, us]
+            ru, rv = us[ready], vs[ready]
+            rounds.append(np.column_stack((ru, rv)))
+            partner[ru], partner[rv] = rv, ru
+            us, vs = us[~ready], vs[~ready]
+            live = np.ones(us.shape[0], dtype=bool)
+            for a, b in ((us, vs), (vs, us)):
+                hit = np.flatnonzero(partner[a] >= 0)
+                a, b, z = a[hit], b[hit], partner[a[hit]]
+                live[hit] &= conflict_free(xs[a], ys[a], xs[z], ys[z], xs[b], ys[b], eps)
+            partner[ru] = partner[rv] = -1
             us, vs = us[live], vs[live]
+        taken += rounds
         if count <= _BLOCK:
             return np.concatenate(taken)
+        # another pass follows: it reads ``alive``, so narrow it by each
+        # round's vertex-disjoint edges
+        for e in rounds:
+            _narrow(alive, xs, ys, eps, e[:, 0], e[:, 1])
         whole = False
 
 
@@ -419,11 +444,15 @@ def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:
     commute.  A 1,024-point set takes 19-27 rounds for its 523,776 candidates.
 
     What is kept is ``alive`` (n**2 bools: which candidates are still live
-    at each endpoint), one row slab of about ``_STREAM_CELLS`` candidates
-    and one block of ``_BLOCK``.  No key is stored: a candidate's key is
-    made again from its index on each pass over the slabs that picks the
-    next block.  After the first block few candidates are live (7,627 of
-    523,776 on one 1,024-point set), so a handful of passes suffice.
+    at each endpoint), one row slab of about ``_STREAM_CELLS`` candidates,
+    one block of ``_BLOCK`` and the block's round edges.  No key is stored:
+    a candidate's key is made again from its index on each pass over the
+    slabs that picks the next block.  The rounds test each remaining
+    candidate of the block against the new edge at each endpoint; the n
+    columns of the new edges' rows in ``alive`` are narrowed once the block
+    is decided, and only when another pass follows.  After the first block
+    few candidates are live (7,627 of 523,776 on one 1,024-point set), so a
+    handful of passes suffice, and the last block narrows no row.
     """
     n = len(ps)
     if n < 2:

@@ -12,7 +12,8 @@ vectorisation, so that a test can hold the fast library path to it:
   predicate with the library;
 * ``random_maximal_direct``: the seeded greedy insertion, one candidate
   at a time with ``in_closed_disk``, against
-  ``lgg.graph.random_maximal_lgg``'s rounds;
+  ``lgg.graph.random_maximal_lgg``'s rounds; ``greedy_rounds`` names
+  the round that decides each candidate;
 * ``edges_conflict``: the two-edge conflict as a boolean, through the
   public ``lgg.geometry.conflict_kind``;
 * ``feasibility_gap``: the vertical room the analysis of the grid walk
@@ -110,9 +111,13 @@ def verify_direct(g: Graph) -> ConflictReport:
     return ConflictReport(tuple(Violation(*t, k) for t, k in zip(triples, kinds)))
 
 
-def random_maximal_direct(ps, seed: int) -> tuple[tuple[int, int], ...]:
-    """Sequential oracle for ``random_maximal_lgg``: the seeded greedy order,
-    one candidate at a time, decided with ``in_closed_disk`` alone."""
+def _seeded_greedy(ps, seed: int):
+    """The seeded greedy insertion, one candidate at a time in key order.
+
+    Yields ``(u, v, killers)`` per candidate: the earlier inserted edges at
+    u or v that conflict with it, each decided with ``in_closed_disk``
+    alone.  A candidate with no killer is inserted.
+    """
 
     def mix(z):
         z = (z + 0x9E3779B97F4A7C15) & (2**64 - 1)
@@ -125,23 +130,45 @@ def random_maximal_direct(ps, seed: int) -> tuple[tuple[int, int], ...]:
     base = mix(seed)
     order = sorted(range(len(pairs)), key=lambda i: (mix(base ^ i), i))
     adj = {i: [] for i in range(n)}
-    edges = []
     for idx in order:
         u, v = pairs[idx]
-        ok = all(
-            not in_closed_disk(ps[u], ps[v], ps[w])
-            and not in_closed_disk(ps[u], ps[w], ps[v])
-            for w in adj[u]
-        ) and all(
-            not in_closed_disk(ps[v], ps[u], ps[w])
-            and not in_closed_disk(ps[v], ps[w], ps[u])
-            for w in adj[v]
-        )
-        if ok:
+        killers = [
+            (a, w)
+            for a, b in ((u, v), (v, u))
+            for w in adj[a]
+            if in_closed_disk(ps[a], ps[b], ps[w]) or in_closed_disk(ps[a], ps[w], ps[b])
+        ]
+        if not killers:
             adj[u].append(v)
             adj[v].append(u)
-            edges.append((u, v))
-    return tuple(sorted(edges))
+        yield u, v, killers
+
+
+def random_maximal_direct(ps, seed: int) -> tuple[tuple[int, int], ...]:
+    """Sequential oracle for ``random_maximal_lgg``: the seeded greedy order,
+    one candidate at a time, decided with ``in_closed_disk`` alone."""
+    return tuple(sorted((u, v) for u, v, killers in _seeded_greedy(ps, seed) if not killers))
+
+
+def greedy_rounds(ps, seed: int) -> list[tuple[int, int, int, bool]]:
+    """``(u, v, round, inserted)`` per candidate, in key order, for one block
+    of all C(n, 2) candidates decided in rounds.
+
+    A candidate is ready once every earlier candidate at u or v is decided,
+    so an inserted one's round is one after the latest of theirs; a
+    rejected one is decided in the earliest round of its killers.
+    """
+    latest = [0] * len(ps)
+    inserted_in: dict[frozenset, int] = {}
+    out = []
+    for u, v, killers in _seeded_greedy(ps, seed):
+        if killers:
+            r = min(inserted_in[frozenset(e)] for e in killers)
+        else:
+            r = inserted_in[frozenset((u, v))] = max(latest[u], latest[v]) + 1
+        latest[u], latest[v] = max(latest[u], r), max(latest[v], r)
+        out.append((u, v, r, not killers))
+    return out
 
 
 def edges_conflict(p: Point, q: Point, r: Point) -> bool:

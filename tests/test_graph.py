@@ -31,7 +31,7 @@ from lgg.graph import (
     random_maximal_lgg,
     verify,
 )
-from reference import random_maximal_direct, verify_direct
+from reference import greedy_rounds, random_maximal_direct, verify_direct
 
 
 class TestGraph:
@@ -418,6 +418,15 @@ class TestRandomMaximal:
     def test_kernel_matches_oracle_on_wide_and_degenerate_sets(self):
         from conftest import real_points
 
+        def in_blocks(ps):
+            # one block of all C(n, 2) pairs is the last and narrows no row;
+            # blocks of 1 and 7 pairs send the rounds' edges through _narrow
+            want = [random_maximal_direct(ps, seed) for seed in range(3)]
+            for block in (lgg.graph._BLOCK, 1, 7):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(lgg.graph, "_BLOCK", block)
+                    assert [random_maximal_lgg(ps, seed).edges for seed in range(3)] == want
+
         rng = random.Random(7)
         ps = random_int_points(rng, 80, 10**6)
         assert random_maximal_lgg(ps, 11).edges == random_maximal_direct(ps, 11)
@@ -431,21 +440,15 @@ class TestRandomMaximal:
                 corners.add((rng.randint(-lim, hi), rng.randint(-lim, hi)))
             ps = PointSet.of(sorted(corners))
             assert ps.xs.dtype == ps.ys.dtype == np.int64
-            for seed in range(3):
-                assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
+            in_blocks(ps)
 
         # small lattices: many right angles and collinear triples, with
         # integer and with float coordinates (boundary cases of the band)
         lattice = [(x, y) for x in range(7) for y in range(7)]
         for trial in range(20):
             coords = sorted(rng.sample(lattice, 12))
-            for ps in (
-                PointSet.of(coords),
-                PointSet.of([(x * 0.1, y * 0.1) for x, y in coords], 1e-9),
-            ):
-                for seed in range(3):
-                    got = random_maximal_lgg(ps, seed).edges
-                    assert got == random_maximal_direct(ps, seed)
+            in_blocks(PointSet.of(coords))
+            in_blocks(PointSet.of([(x * 0.1, y * 0.1) for x, y in coords], 1e-9))
 
         # cocircular n-gons: every inscribed triangle with a diameter side
         # is right-angled, so many tests fall inside the tolerance band
@@ -516,6 +519,37 @@ class TestRandomMaximal:
             monkeypatch.setattr(lgg.graph, "_BLOCK", n * (n - 1) // 2 - short)
             for seed in range(3):
                 assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_last_block_narrows_no_row(self, monkeypatch, short):
+        # the rounds decide on the block's own candidates; the rows of
+        # ``alive`` are narrowed only when another pass follows, once per
+        # round of the block with that round's edges
+        from conftest import real_points
+
+        narrowed = []
+
+        def counted(alive, xs, ys, eps, us, vs):
+            narrowed.append(sorted(zip(us.tolist(), vs.tolist())))
+            narrow(alive, xs, ys, eps, us, vs)
+
+        narrow = lgg.graph._narrow
+        monkeypatch.setattr(lgg.graph, "_narrow", counted)
+        rng = random.Random(29)
+        for ps in (random_int_points(rng, 24, 30), real_points(rng, 24)):
+            n = len(ps)
+            monkeypatch.setattr(lgg.graph, "_BLOCK", n * (n - 1) // 2 - short)
+            for seed in range(3):
+                narrowed.clear()
+                assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
+                # the first block: every candidate but the one of largest key
+                block = greedy_rounds(ps, seed)[:-1] if short else []
+                rounds = max((r for _, _, r, _ in block), default=0)
+                want = [
+                    sorted((u, v) for u, v, r, kept in block if kept and r == k)
+                    for k in range(1, rounds + 1)
+                ]
+                assert narrowed == want
 
     def test_seed_is_any_integer(self):
         ps = random_int_points(random.Random(19), 40, 1000)

@@ -369,7 +369,9 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
     narrows the rows of ``alive`` by each round's edges.  Its row tests are
     the rounds' tests term for term, so the decided block is all dead
     (``_narrow`` kills an inserted pair too) and the next block's keys are
-    all above it.  Returns the inserted pairs as an int64 (m, 2) array.
+    all above it, and each pass counts fewer live pairs than the one
+    before; one that does not raises ``RuntimeError`` rather than repeat
+    its block for ever.  Returns the inserted pairs as an int64 (m, 2) array.
     """
     n = xs.shape[0]
     alive = np.ones((n, n), dtype=bool)
@@ -382,9 +384,14 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
     starts = np.searchsorted(off, np.arange(m) * off[-1] // m, "right") - 1
     cuts = sorted({*starts.tolist(), n - 1})
     partner = np.full(n, -1)
-    taken, whole = [], True
+    taken, whole, last = [], True, float("inf")
     while True:
         ts, count = _next_block(alive, off, cuts, base, whole)
+        if count >= last:
+            raise RuntimeError(
+                f"no progress: a pass found {count} live pairs, the one before {last}"
+            )
+        last = count
         # the row of t is n - 2 - q, q the largest with q(q + 1) / 2 <= the
         # C(n, 2) - 1 - t pairs after t: the float root is exact enough for
         # arguments below 2**51 (n < 2**24), and ~4x faster than a search

@@ -5,7 +5,7 @@ vertex has degree at most one, so peeling terminals yields an independent
 set of half the sequence.  Combined with a longest monotone subsequence of
 length at least sqrt(n), any LGG yields an independent set of ceil(sqrt(n))/2
 vertices.  Neighborhoods of LGG vertices induce subgraphs of maximum
-degree 3 and are therefore 4-colorable.
+degree 3, so one greedy pass, a scan per member, colors them with four colors.
 """
 
 from __future__ import annotations
@@ -119,28 +119,33 @@ def monotone_greedy_is(g: Graph, seq: MonotoneSeq) -> IndependentSetResult:
 def _plain_greedy(g: Graph) -> frozenset[int]:
     """Minimum-degree greedy independent set over the whole graph.
 
-    Repeatedly takes the live vertex of least (live degree, index) and
-    removes it with its neighbors.  Degrees only fall, so a lazy min-heap
-    holds the current key of every live vertex; stale entries are skipped.
+    Repeatedly takes the live vertex of least key deg * n + u (the order of
+    (live degree, index)) and removes it with its neighbors.  Degrees only
+    fall, so a lazy min-heap holds the key of every live vertex, pushed once
+    per removal that touches it; stale entries are skipped.
     """
-    deg = [len(nbrs) for nbrs in g.adjacency]
-    heap = [(d, u) for u, d in enumerate(deg)]
+    n, adj = g.n, g.adjacency
+    deg = [len(nbrs) for nbrs in adj]
+    heap = [d * n + u for u, d in enumerate(deg)]
     heapq.heapify(heap)
-    alive = [True] * g.n
+    alive = [True] * n
     chosen = set()
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = divmod(heapq.heappop(heap), n)
         if not alive[u] or d != deg[u]:
             continue
         chosen.add(u)
-        gone = [u] + [v for v in g.adjacency[u] if alive[v]]
+        gone = [u] + [v for v in adj[u] if alive[v]]
         for v in gone:
             alive[v] = False
+        touched = set()
         for v in gone:
-            for w in g.adjacency[v]:
+            for w in adj[v]:
                 if alive[w]:
                     deg[w] -= 1
-                    heapq.heappush(heap, (deg[w], w))
+                    touched.add(w)
+        for w in touched:
+            heapq.heappush(heap, deg[w] * n + w)
     return frozenset(chosen)
 
 
@@ -164,20 +169,25 @@ def neighborhood_coloring(g: Graph, u: int) -> dict[int, int]:
 
     In a valid LGG every neighbor of u has at most two further neighbors
     inside N(u), so the induced degree is at most 3 and four colors always
-    suffice.  Returns vertex -> color (colors 0..3).  The induced degree
-    check is the only one needed: a neighbor colored before u sees at most
-    two colored vertices, so u gets a color of at most 3, and a neighbor
-    colored after u sees at most three.
+    suffice.  Returns vertex -> color (colors 0..3), ascending; a member takes
+    the least color its neighbors leave, found in one adjacency scan.  The
+    induced degree check is the only one needed: a neighbor colored before u
+    sees at most two colored vertices, so u gets a color of at most 3, and a
+    neighbor colored after u sees at most three.
     """
     members = {u, *g.adjacency[u]}
     colors: dict[int, int] = {}
     for v in sorted(members):
-        near = members.intersection(g.adjacency[v])
-        if v != u and len(near) > 3:
+        near = used = 0
+        for w in g.adjacency[v]:
+            if w in members:
+                near += 1
+                if w in colors:
+                    used |= 1 << colors[w]
+        if v != u and near > 3:
             raise InvariantViolation(
-                f"vertex {v} has induced degree {len(near)} > 3 in the "
+                f"vertex {v} has induced degree {near} > 3 in the "
                 f"neighborhood of {u}; input graph is not a valid LGG"
             )
-        used = {colors[w] for w in near if w in colors}
-        colors[v] = next(c for c in range(4) if c not in used)
+        colors[v] = (~used & (used + 1)).bit_length() - 1
     return colors

@@ -31,11 +31,19 @@ vectorisation, so that a test can hold the fast library path to it:
 * ``include_first_max``: an include-first DFS for the maximum independent
   set of a conflict graph, against ``lgg.extremal``'s branch and bound;
 * ``lis_dp``: the O(n^2) dynamic programme for the longest monotone
-  subsequence, against ``lgg.independence.longest_monotone_subsequence``.
+  subsequence, against ``lgg.independence.longest_monotone_subsequence``;
+* ``min_degree_greedy_direct``: the minimum-degree greedy independent set
+  with a heap keyed by ``(degree, vertex)`` tuples and one push per
+  degree decrement, against ``lgg.independence._plain_greedy``'s integer
+  keys and one push per touched vertex;
+* ``neighborhood_coloring_direct``: the neighbourhood colouring with set
+  intersections, against ``lgg.independence.neighborhood_coloring``'s one
+  membership scan per member and colour bitmask.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -48,7 +56,7 @@ from lgg.geometry import (
     conflict_free,
     conflict_kind,
 )
-from lgg.graph import ConflictReport, Graph, Violation
+from lgg.graph import ConflictReport, Graph, InvariantViolation, Violation
 from lgg.grid import h_from_eq1
 
 
@@ -299,3 +307,55 @@ def lis_dp(ps) -> int:
                     dp[i] = max(dp[i], dp[j] + 1)
         best = max(best, max(dp))
     return best
+
+
+def min_degree_greedy_direct(g: Graph) -> frozenset[int]:
+    """Minimum-degree greedy independent set over the whole graph.
+
+    Repeatedly takes the live vertex of least (live degree, index) and
+    removes it with its neighbors.  Degrees only fall, so a lazy min-heap
+    holds the current key of every live vertex; stale entries are skipped.
+    """
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    heap = [(d, u) for u, d in enumerate(deg)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
+    chosen = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if not alive[u] or d != deg[u]:
+            continue
+        chosen.add(u)
+        gone = [u] + [v for v in g.adjacency[u] if alive[v]]
+        for v in gone:
+            alive[v] = False
+        for v in gone:
+            for w in g.adjacency[v]:
+                if alive[w]:
+                    deg[w] -= 1
+                    heapq.heappush(heap, (deg[w], w))
+    return frozenset(chosen)
+
+
+def neighborhood_coloring_direct(g: Graph, u: int) -> dict[int, int]:
+    """Greedy coloring of the subgraph induced on {u} and its neighbors.
+
+    In a valid LGG every neighbor of u has at most two further neighbors
+    inside N(u), so the induced degree is at most 3 and four colors always
+    suffice.  Returns vertex -> color (colors 0..3).  The induced degree
+    check is the only one needed: a neighbor colored before u sees at most
+    two colored vertices, so u gets a color of at most 3, and a neighbor
+    colored after u sees at most three.
+    """
+    members = {u, *g.adjacency[u]}
+    colors: dict[int, int] = {}
+    for v in sorted(members):
+        near = members.intersection(g.adjacency[v])
+        if v != u and len(near) > 3:
+            raise InvariantViolation(
+                f"vertex {v} has induced degree {len(near)} > 3 in the "
+                f"neighborhood of {u}; input graph is not a valid LGG"
+            )
+        used = {colors[w] for w in near if w in colors}
+        colors[v] = next(c for c in range(4) if c not in used)
+    return colors

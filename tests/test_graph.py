@@ -551,6 +551,27 @@ class TestRandomMaximal:
                 ]
                 assert narrowed == want
 
+    def test_pass_without_progress_raises(self, monkeypatch):
+        # with ``_narrow`` a no-op, the second pass finds the same 276 live
+        # pairs as the first; the guard must raise, not repeat the block.
+        # ``_next_block`` fails after 100 passes, so a missing guard fails
+        # the test instead of hanging it
+        passes = []
+
+        def bounded(*args):
+            passes.append(None)
+            assert len(passes) <= 100, "the generator loops without progress"
+            return next_block(*args)
+
+        next_block = lgg.graph._next_block
+        monkeypatch.setattr(lgg.graph, "_next_block", bounded)
+        monkeypatch.setattr(lgg.graph, "_narrow", lambda *args: None)
+        monkeypatch.setattr(lgg.graph, "_BLOCK", 7)
+        ps = random_int_points(random.Random(31), 24, 30)
+        with pytest.raises(RuntimeError, match="found 276 live pairs, the one before 276"):
+            random_maximal_lgg(ps, 0)
+        assert len(passes) == 2
+
     def test_seed_is_any_integer(self):
         ps = random_int_points(random.Random(19), 40, 1000)
         for s in (0, 5, 2**63 - 1):

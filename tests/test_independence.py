@@ -5,18 +5,21 @@ import random
 
 import pytest
 
-from conftest import random_int_points, strictly_monotonic_set
+from conftest import random_int_points, real_points, strictly_monotonic_set
+from lgg.convex import circle_cycle, half_convex_fan
 from lgg.geometry import PointSet
 from lgg.graph import Graph, random_maximal_lgg
+from lgg.grid import GridParams, build
 from lgg.independence import (
     Direction,
     InvariantViolation,
+    _plain_greedy,
     independent_set,
     longest_monotone_subsequence,
     monotone_greedy_is,
     neighborhood_coloring,
 )
-from reference import lis_dp
+from reference import lis_dp, min_degree_greedy_direct, neighborhood_coloring_direct
 
 
 def _is_independent(g, vertices):
@@ -124,6 +127,15 @@ class TestNeighborhoodColoring:
                         if w in members:
                             assert colors[v] != colors[w]
 
+    def test_pinned_colors_and_key_order(self):
+        # K4 on {0, 1, 2, 3}, u = 2 with a fifth neighbor 5; vertex 6 is a
+        # neighbor of 0 outside N(2) and does not count
+        ps = PointSet.of([(0, 0), (4, 0), (2, 3), (2, 1), (9, 9), (-5, 2), (-1, -6)])
+        g = Graph(ps, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 5), (0, 6)))
+        colors = neighborhood_coloring(g, 2)
+        assert list(colors.items()) == [(0, 0), (1, 1), (2, 2), (3, 3), (5, 0)]
+        assert list(neighborhood_coloring(g, 0).items()) == [(0, 0), (1, 1), (2, 2), (3, 3), (6, 1)]
+
     def test_rejects_dense_neighborhood(self):
         # K5 on points in convex position is far from locally Gabriel
         ps = PointSet.of([(0, 0), (10, 0), (13, 7), (5, 12), (-3, 7)])
@@ -131,3 +143,41 @@ class TestNeighborhoodColoring:
         g = Graph(ps, edges)
         with pytest.raises(InvariantViolation):
             neighborhood_coloring(g, 0)
+
+
+def _parity_graphs():
+    """Maximal LGGs on integer and real points, the g = 30 grid, the two
+    convex constructions, and dense graphs that are far from LGGs."""
+    rng = random.Random(83)
+    for n in (2, 3, 5, 8, 13, 21, 40, 90, 300):
+        yield random_maximal_lgg(random_int_points(rng, n, 10**6), n)
+        yield random_maximal_lgg(real_points(rng, n), n)
+    yield build(GridParams(g=30))[0]
+    yield half_convex_fan(40).graph
+    yield circle_cycle(40).graph
+    for seed in range(20):
+        r = random.Random(seed)
+        n = r.randrange(6, 25)
+        p = r.uniform(0.2, 0.7)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if r.random() < p]
+        yield Graph(random_int_points(r, n, 100), edges)
+
+
+def _coloring_outcome(coloring, g, u):
+    try:
+        return list(coloring(g, u).items())
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+class TestReferenceParity:
+    def test_matches_the_set_based_references(self):
+        raised = 0
+        for g in _parity_graphs():
+            assert _plain_greedy(g) == min_degree_greedy_direct(g)
+            for u in range(g.n):
+                want = _coloring_outcome(neighborhood_coloring_direct, g, u)
+                assert _coloring_outcome(neighborhood_coloring, g, u) == want
+                raised += isinstance(want, str)
+        # the dense graphs reach the induced-degree error
+        assert raised > 0

@@ -12,7 +12,7 @@ opened or decoded, coordinates out of range (beyond 2**30 for integers,
 non-finite, beyond 2**256 or nonzero below 2**-384 for reals),
 out-of-range construction flags (``--side`` above ``grid.MAX_SIDE`` among
 them), integer flags that are not ASCII decimals (``3_0``, other scripts'
-digits: the points CSV's rule) and an ``emit-svg --disk i,i``.  The
+digits: the points CSV's rule) and an ``emit-svg --disk`` that is not two vertices.  The
 constructions take only their size (``--side``, ``--n``) and, for the
 grid, ``--mode``; the grid's theta0 and c1 and the circle radius of
 ``fan`` and ``cycle`` are constants, as are the tolerance of a
@@ -208,16 +208,12 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_emit_svg(args: argparse.Namespace) -> int:
     g = io.load_graph(args.graph)
-    disk = None
-    if args.disk:
-        parts = args.disk.split(",")
-        if len(parts) != 2:
-            raise io.FormatError(f"--disk expects 'i,j', got {args.disk!r}")
-        i, j = (_int_flag("--disk", t) for t in parts)
-        if i == j or not (0 <= i < g.n and 0 <= j < g.n):
-            raise io.FormatError(f"--disk {i},{j}: not two vertices of {g.n} points")
-        disk = (i, j)
-    _write_out(io.graph_to_svg(g, disk), args.output)
+    disk = [_int_flag("--disk", t) for t in args.disk.split(",")] if args.disk else None
+    try:
+        svg = io.graph_to_svg(g, disk)
+    except ValueError as exc:  # not two vertices of g: a usage error
+        raise io.FormatError(f"--disk: {exc}") from exc
+    _write_out(svg, args.output)
     return 0
 
 

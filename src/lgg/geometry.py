@@ -4,8 +4,8 @@ Points carry either exact integer coordinates (all predicates are then
 decided with exact integer arithmetic) or double-precision coordinates
 tagged with a relative tolerance ``eps``.  The two kinds never mix inside
 one computation.  A ``PointSet`` stores its coordinates as two read-only
-arrays, int64 or float64, which the vectorised layers use directly;
-``Point`` is the scalar form that ``ps[i]`` returns.
+arrays, int64 or float64, which the vectorised layers use directly, and
+validates them; ``Point`` is the plain record that ``ps[i]`` returns.
 
 The central predicate is the diametral-disk test: a point ``r`` lies in the
 closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``;
@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,40 +69,18 @@ def _in_range(xs, ys, eps: float, exact: bool):
     return ok, "non-finite coordinate or nonzero magnitude outside [2**-384, 2**256]"
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of the plane.
-
-    ``x`` and ``y`` are either both ``int`` (exact mode, ``eps`` must be 0)
-    or both ``float`` (real mode, ``eps`` is a nonnegative relative
-    tolerance used by the predicates).
-    """
+class Point(NamedTuple):
+    """One point as ``ps[i]`` returns it: a plain record that checks nothing."""
 
     x: int | float
     y: int | float
     eps: float = 0.0
 
-    def __post_init__(self) -> None:
-        if (kinds := {type(self.x), type(self.y)}) not in ({int}, {float}):
-            names = sorted(k.__name__ for k in kinds)
-            raise CoordinateKindError(
-                f"coordinates must be all int or all float, got {names}"
-            )
-        ok, problem = _in_range(self.x, self.y, self.eps, int in kinds)
-        if not ok:
-            raise ValueError(f"{problem} ({self.x!r}, {self.y!r})")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.x, int)
-
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Distinct points of one kind and eps, as read-only int64 or float64 arrays.
-
-    ``ps[i]`` and iteration give ``Point`` objects, built on first use.
-    """
+    """Distinct points of one kind and eps, as read-only int64 or float64 arrays:
+    the one point validator.  ``ps[i]`` builds one ``Point``."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -129,7 +106,8 @@ class PointSet:
         if (dup := (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
             i = int(order[1:][dup].min())
             key = (xs[i].item(), ys[i].item())
-            raise ValueError(f"point {i} duplicates an earlier point {key}")
+            j = int(np.flatnonzero((xs == xs[i]) & (ys == ys[i]))[0])
+            raise ValueError(f"point {i} duplicates point {j} {key}")
         xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
@@ -148,19 +126,13 @@ class PointSet:
         xy = pair_array(coords, (kind,), "point")
         return cls(xy[:, 0], xy[:, 1], eps)
 
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        xy = zip(self.xs.tolist(), self.ys.tolist())
-        return tuple(Point(x, y, self.eps) for x, y in xy)
-
     def __len__(self) -> int:
         return len(self.xs)
 
     def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+        return Point(self.xs[i].item(), self.ys[i].item(), self.eps)
 
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
+    __iter__ = None  # not iterable (not even by ps[0], ps[1], ...): read xs and ys
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -258,13 +230,16 @@ def conflict_kind(p: Point, q: Point, r: Point) -> str | None:
     edge's diametral disk, ``"boundary"`` when the sharpest containment is
     on the boundary, and ``None`` when the edges do not conflict.  Points
     of mixed kinds raise ``CoordinateKindError``, and two coincident
-    points ``ValueError``.
+    points, or one that ``PointSet`` would reject, ``ValueError``.
     """
-    if len({p.is_exact, q.is_exact, r.is_exact}) > 1:
+    if len({type(p.x), type(q.x), type(r.x)}) > 1:
         raise CoordinateKindError("predicate arguments mix coordinate kinds")
-    if len({(p.x, p.y), (q.x, q.y), (r.x, r.y)}) < 3:
+    pairs = [(p.x, p.y), (q.x, q.y), (r.x, r.y)]
+    if len(set(pairs)) < 3:
         raise ValueError("conflict_kind takes three distinct points")
-    args = (p.x, p.y, q.x, q.y, r.x, r.y, max(p.eps, q.eps, r.eps))
+    for eps in {p.eps, q.eps, r.eps}:  # PointSet's kind, range and eps checks
+        PointSet.of(pairs, eps)
+    args = (*chain.from_iterable(pairs), max(p.eps, q.eps, r.eps))
     if conflict_free(*args):
         return None
     return INTERIOR if _interior_conflict(*args) else BOUNDARY

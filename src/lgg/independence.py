@@ -175,6 +175,8 @@ def neighborhood_coloring(g: Graph, u: int) -> dict[int, int]:
     sees at most two colored vertices, so u gets a color of at most 3, and a
     neighbor colored after u sees at most three.
     """
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} is out of range [0, n = {g.n})")
     members = {u, *g.adjacency[u]}
     colors: dict[int, int] = {}
     for v in sorted(members):

@@ -33,21 +33,22 @@ when a check fails, to name the first bad one.  So only the
 general reader raises a parse error, and its messages are the same for
 every layout.  ``Graph`` takes the int64 edge array as it is, so no list is
 scanned twice; range and duplicate checks are left to ``PointSet`` and
-``Graph``.  The CSV reader checks each row as a ``Point``, and against the
-rows before it for a duplicate, so that a bad value or a repeated point
-names its line.  Every malformed input raises ``FormatError`` naming the
-file and the line, point, edge or array at fault.
+``Graph``.  The CSV reader parses each row's numbers, so that a bad one
+names its line, then makes one ``PointSet.of`` call and names the lines of
+the points its error names.  Every malformed input raises ``FormatError``
+naming the file and the line, point, edge or array at fault.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
-from .geometry import DEFAULT_EPSILON, Point, PointSet, pair_array
+from .geometry import DEFAULT_EPSILON, PointSet, pair_array
 from .graph import Graph
 
 
@@ -103,15 +104,17 @@ def parse_points_csv(text: str) -> PointSet:
         raise FormatError("no points in file")
     real = any("." in t or "e" in t.lower() for _, x, y in rows for t in (x, y))
     num, eps = (float, DEFAULT_EPSILON) if real else (int, 0.0)
-    line_of: dict[tuple, int] = {}  # -0.0 and 0.0 are one key, as in PointSet
+    values = []
     for lineno, x, y in rows:
-        try:  # a bad value names its line
-            p = Point(num(x), num(y), eps)
-        except (ValueError, TypeError, OverflowError) as exc:
+        try:  # a bad number names its line
+            values.append((num(x), num(y)))
+        except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        if (first := line_of.setdefault((p.x, p.y), lineno)) != lineno:
-            raise FormatError(f"line {lineno}: duplicates line {first} {(p.x, p.y)}")
-    return _build(PointSet.of, list(line_of), eps)
+    try:
+        return PointSet.of(values, eps)
+    except ValueError as exc:  # the points it names become their lines
+        msg = re.sub(r"point (\d+)", lambda m: f"line {rows[int(m[1])][0]}", str(exc))
+        raise FormatError(msg.replace(" duplicates", ": duplicates", 1)) from exc
 
 
 def load_points(path: str) -> PointSet:
@@ -309,7 +312,12 @@ def load_graph(path: str) -> Graph:
 
 
 def graph_to_svg(g: Graph, disk_edge: tuple[int, int] | None = None) -> str:
-    """Static SVG of the graph, optionally with one edge's diametral disk."""
+    """Static SVG of the graph, optionally with the diametral disk of
+    ``disk_edge``, two distinct vertices of ``g``; else a ``ValueError``."""
+    if disk_edge is not None:
+        if len(disk_edge) != 2 or not 0 <= min(disk_edge) < max(disk_edge) < g.n:
+            raise ValueError(f"disk edge {tuple(disk_edge)}: not two of {g.n} vertices")
+        i, j = disk_edge
     xs = g.points.xs.astype(np.float64).tolist()
     ys = g.points.ys.astype(np.float64).tolist()
     x0, x1 = min(xs), max(xs)
@@ -331,7 +339,6 @@ def graph_to_svg(g: Graph, disk_edge: tuple[int, int] | None = None) -> str:
         f'height="{height}" viewBox="0 0 {SVG_WIDTH} {height}">'
     ]
     if disk_edge is not None:
-        i, j = disk_edge
         cx, cy = (xs[i] + xs[j]) / 2, (ys[i] + ys[j]) / 2
         r = math.dist((xs[i], ys[i]), (xs[j], ys[j])) / 2
         out.append(

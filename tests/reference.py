@@ -25,8 +25,8 @@ vectorisation, so that a test can hold the fast library path to it:
   box of candidate offsets, against ``lgg.grid.next_neighbor``'s one
   interval per column;
 * ``signed_walk_conflict``: the grid certificate as every pair of the
-  2|W| neighbor offsets +-W of a center, through the public
-  ``lgg.geometry.conflict_kind``, against ``lgg.grid``'s star of +-W,
+  2|W| neighbor offsets +-W of a center, through
+  ``lgg.geometry.conflict_free``, against ``lgg.grid``'s star of +-W,
   which ``lgg.graph.verify`` decides by angular neighbours;
 * ``include_first_max``: an include-first DFS for the maximum independent
   set of a conflict graph, against ``lgg.extremal``'s branch and bound;
@@ -38,26 +38,35 @@ vectorisation, so that a test can hold the fast library path to it:
   keys and one push per touched vertex;
 * ``neighborhood_coloring_direct``: the neighbourhood colouring with set
   intersections, against ``lgg.independence.neighborhood_coloring``'s one
-  membership scan per member and colour bitmask.
+  membership scan per member and colour bitmask;
+* ``parse_points_csv_direct``: the points CSV read row by row, each row
+  checked as a ``CheckedPoint`` and against the rows before it for a
+  duplicate, against ``lgg.io.parse_points_csv``'s one ``PointSet.of``
+  call whose error is mapped back to lines.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from lgg.geometry import (
     BOUNDARY,
+    DEFAULT_EPSILON,
     INTERIOR,
     CoordinateKindError,
     Point,
+    PointSet,
+    _in_range,
     conflict_free,
     conflict_kind,
 )
 from lgg.graph import ConflictReport, Graph, InvariantViolation, Violation
 from lgg.grid import h_from_eq1
+from lgg.io import FormatError, _build, is_ascii_number
 
 
 def disk_side(p: Point, q: Point, r: Point) -> int:
@@ -68,7 +77,7 @@ def disk_side(p: Point, q: Point, r: Point) -> int:
     ``b = q - r`` it compares ``a . b`` with ``+-eps * (|a| * |b|)``,
     associated as ``outside_disk`` does, so the two agree bit for bit.
     """
-    if len({p.is_exact, q.is_exact, r.is_exact}) > 1:
+    if len({isinstance(t.x, int) for t in (p, q, r)}) > 1:
         raise CoordinateKindError("predicate arguments mix coordinate kinds")
     if len({(p.x, p.y), (q.x, q.y), (r.x, r.y)}) < 3:
         raise ValueError("disk_side takes three distinct points")
@@ -104,7 +113,7 @@ def verify_direct(g: Graph) -> ConflictReport:
     membership in the closed disk with uv as diameter; ``conflict_label``
     labels each conflicting pair.
     """
-    pts = g.points
+    pts = [g.points[i] for i in range(g.n)]  # ps[i] builds a new Point per call
     found: set[tuple[int, int, int]] = set()
     for u, v in g.edges:
         for w in g.adjacency[u]:
@@ -134,6 +143,7 @@ def _seeded_greedy(ps, seed: int):
         return z ^ (z >> 31)
 
     n = len(ps)
+    ps = [ps[i] for i in range(n)]  # ps[i] builds a new Point per call
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base = mix(seed)
     order = sorted(range(len(pairs)), key=lambda i: (mix(base ^ i), i))
@@ -238,10 +248,9 @@ def signed_walk_conflict(walk: list[tuple[int, int]]):
     returns None when every pair coexists.
     """
     offsets = walk + [(-x, -y) for x, y in walk]
-    origin = Point(0, 0)
     for i, a in enumerate(offsets):
         for b in offsets[i + 1:]:
-            if edges_conflict(origin, Point(*a), Point(*b)):
+            if not conflict_free(0, 0, *a, *b):
                 return a, b
     return None
 
@@ -294,6 +303,7 @@ def include_first_max(cg) -> list[int]:
 def lis_dp(ps) -> int:
     """O(n^2) longest monotone subsequence length, both directions."""
     n = len(ps)
+    ps = [ps[i] for i in range(n)]  # ps[i] builds a new Point per call
     best = 0
     for sign in (1, -1):
         # for the non-increasing direction ties in x must be scanned in
@@ -359,3 +369,53 @@ def neighborhood_coloring_direct(g: Graph, u: int) -> dict[int, int]:
         used = {colors[w] for w in near if w in colors}
         colors[v] = next(c for c in range(4) if c not in used)
     return colors
+
+
+@dataclass(frozen=True)
+class CheckedPoint:
+    """A point that checks its kind and range on construction: ``PointSet``'s
+    rule applied to one point at a time, in Python scalars."""
+
+    x: int | float
+    y: int | float
+    eps: float = 0.0
+
+    def __post_init__(self) -> None:
+        if (kinds := {type(self.x), type(self.y)}) not in ({int}, {float}):
+            names = sorted(k.__name__ for k in kinds)
+            raise CoordinateKindError(
+                f"coordinates must be all int or all float, got {names}"
+            )
+        ok, problem = _in_range(self.x, self.y, self.eps, int in kinds)
+        if not ok:
+            raise ValueError(f"{problem} ({self.x!r}, {self.y!r})")
+
+
+def parse_points_csv_direct(text: str) -> PointSet:
+    """The points CSV read row by row: each row is checked as a
+    ``CheckedPoint``, and against the rows before it for a duplicate, so
+    that a bad value or a repeated point names its line."""
+    rows: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise FormatError(f"line {lineno}: expected 'x,y', got {raw!r}")
+        if not all(map(is_ascii_number, parts)):
+            raise FormatError(f"line {lineno}: not an ASCII decimal number in {raw!r}")
+        rows.append((lineno, parts[0], parts[1]))
+    if not rows:
+        raise FormatError("no points in file")
+    real = any("." in t or "e" in t.lower() for _, x, y in rows for t in (x, y))
+    num, eps = (float, DEFAULT_EPSILON) if real else (int, 0.0)
+    line_of: dict[tuple, int] = {}  # -0.0 and 0.0 are one key, as in PointSet
+    for lineno, x, y in rows:
+        try:  # a bad value names its line
+            p = CheckedPoint(num(x), num(y), eps)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+        if (first := line_of.setdefault((p.x, p.y), lineno)) != lineno:
+            raise FormatError(f"line {lineno}: duplicates line {first} {(p.x, p.y)}")
+    return _build(PointSet.of, list(line_of), eps)

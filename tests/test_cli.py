@@ -240,6 +240,16 @@ class TestEmitSvg:
                     str(tmp_path / "d.svg")]) == 0
         assert run(["emit-svg", str(g), "--disk", "zero,one"]) == 2
 
+    @pytest.mark.parametrize("disk", ["0,6", "-1,2", "3,3", "1", "0,1,2", "0,1,1"])
+    def test_disk_not_two_vertices_exits_2(self, tmp_path, capsys, disk):
+        g = tmp_path / "g.json"
+        run(["construct", "cycle", "--n", "6", "-o", str(g)])
+        capsys.readouterr()
+        assert run(["emit-svg", str(g), f"--disk={disk}"]) == 2
+        edge = tuple(int(t) for t in disk.split(","))
+        assert capsys.readouterr().err == (
+            f"error: --disk: disk edge {edge}: not two of 6 vertices\n")
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):

@@ -135,7 +135,7 @@ class TestLadder:
 
     def test_reflection_symmetry(self):
         cons = centrally_symmetric_ladder(24)
-        pts = [(p.x, p.y) for p in cons.points]
+        pts = list(zip(cons.points.xs.tolist(), cons.points.ys.tolist()))
         # symmetric about the centroid
         n = len(pts)
         cx2 = sum(x for x, _ in pts) * 2 // n

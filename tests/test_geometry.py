@@ -34,43 +34,64 @@ def P(x, y):
     return Point(x, y)
 
 
+def _classify_with(p):
+    """``conflict_kind`` of ``p`` and two points of its kind and eps, far from it."""
+    kind = type(p.x)
+    q, r = (Point(kind(12345 * s), kind(k), p.eps) for s, k in ((1, 1), (-1, 2)))
+    return conflict_kind(p, q, r)
+
+
 class TestPoint:
+    """``Point`` is a plain record; ``conflict_kind`` rejects the points
+    that ``Point`` construction used to reject, with the same exception types."""
+
     def test_exact_flag(self):
-        assert Point(1, 2).is_exact
-        assert not Point(1.0, 2.0, 1e-9).is_exact
+        exact, real = PointSet.of([(1, 2), (3, 4)]), PointSet.of([(1.0, 2.0)], 1e-9)
+        assert exact.is_exact and exact[1] == Point(3, 4) == (3, 4, 0.0)
+        assert type(exact[1].x) is int and type(real[0].y) is float
+        assert not real.is_exact and real[0] == Point(1.0, 2.0, 1e-9)
 
     def test_mixed_kinds_rejected(self):
+        Point(1, 2.0)  # a plain record checks nothing
         with pytest.raises(CoordinateKindError):
-            Point(1, 2.0)
+            _classify_with(Point(1, 2.0))
+        bools = (Point(True, False), Point(False, True), Point(True, True))
+        mixed = (Point(1.0, 2), P(5, 0), P(0, 5))
+        for args in (bools, (bools[0], P(5, 0), P(0, 5)), mixed):
+            with pytest.raises(CoordinateKindError):
+                conflict_kind(*args)
 
     def test_magnitude_bound(self):
-        Point(MAX_EXACT_COORD, -MAX_EXACT_COORD)
+        _classify_with(Point(MAX_EXACT_COORD, -MAX_EXACT_COORD))
         with pytest.raises(ValueError):
-            Point(MAX_EXACT_COORD + 1, 0)
-        Point(MAX_REAL_COORD, -MAX_REAL_COORD, 1e-9)
-        Point(MIN_REAL_COORD, -MIN_REAL_COORD, 1e-9)
-        Point(0.0, -0.0, 1e-9)
+            _classify_with(Point(MAX_EXACT_COORD + 1, 0))
+        _classify_with(Point(MAX_REAL_COORD, -MAX_REAL_COORD, 1e-9))
+        _classify_with(Point(MIN_REAL_COORD, -MIN_REAL_COORD, 1e-9))
+        _classify_with(Point(0.0, -0.0, 1e-9))
         for x, y in ((2 * MAX_REAL_COORD, 0.0), (0.0, -1e300),
                      (MIN_REAL_COORD / 2, 1.0), (1.0, -5e-324)):
             with pytest.raises(ValueError, match="non-finite"):
-                Point(x, y)
+                _classify_with(Point(x, y))
 
     def test_exact_points_carry_no_eps(self):
         with pytest.raises(ValueError):
-            Point(1, 2, 1e-9)
+            _classify_with(Point(1, 2, 1e-9))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            Point(1.0, 2.0, -1e-9)
+            _classify_with(Point(1.0, 2.0, -1e-9))
+        # one point's eps is checked even when another's is larger
+        with pytest.raises(ValueError, match="eps"):
+            conflict_kind(Point(0.0, 0.0, -1e-9), Point(1.0, 0.0, 1e-9), Point(0.0, 1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            Point(bad, 1.0)
+            _classify_with(Point(bad, 1.0))
         with pytest.raises(ValueError):
-            Point(1.0, bad)
+            _classify_with(Point(1.0, bad))
         with pytest.raises(ValueError):
-            Point(1.0, 2.0, bad)
+            _classify_with(Point(1.0, 2.0, bad))
 
 
 class TestPointSet:
@@ -81,21 +102,23 @@ class TestPointSet:
             PointSet.of([(5, 5), (1, 1), (2, 2), (1, 1), (5, 5)])
 
     def test_duplicates_match_loop_reference(self):
-        # the first point equal to an earlier one, as a set lookup finds it
+        # the first point equal to an earlier one, as a dict lookup finds it,
+        # and the first point it equals
         rng = random.Random(3)
         for _ in range(300):
             vals = [0.0, -0.0, 1.0, 2.5] if rng.random() < 0.5 else [0, 1, 2, -1]
             coords = [(rng.choice(vals), rng.choice(vals))
                       for _ in range(rng.randrange(1, 8))]
-            seen, first = set(), None
+            seen, first = {}, None
             for i, c in enumerate(coords):
                 if c in seen and first is None:
-                    first = i
-                seen.add(c)
+                    first, earlier = i, seen[c]
+                seen.setdefault(c, i)
             if first is None:
                 assert len(PointSet.of(coords)) == len(coords)
             else:
-                with pytest.raises(ValueError, match=f"point {first} duplicates"):
+                message = f"point {first} duplicates point {earlier} "
+                with pytest.raises(ValueError, match=message):
                     PointSet.of(coords)
 
     def test_negative_zero_duplicates_zero(self):
@@ -164,7 +187,11 @@ class TestPointSet:
     def test_points_view(self):
         ps = PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
         assert ps[1] == Point(2.0, 3.0, 1e-9)
-        assert list(ps) == [Point(0.5, 1.5, 1e-9), ps[1]]
+        assert ps[-2] == Point(0.5, 1.5, 1e-9)
+        with pytest.raises(IndexError):
+            ps[2]
+        with pytest.raises(TypeError):  # whole-set code reads xs and ys
+            iter(ps)
         assert ps == PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
         assert ps != PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-6)
 
@@ -188,6 +215,12 @@ def _side(p, q, r):
 
 def _free(p, q, r):
     return conflict_free(p.x, p.y, q.x, q.y, r.x, r.y, max(p.eps, q.eps, r.eps))
+
+
+def _int_triple(rng, lim):
+    """Three distinct random integer points, as ``Point``s."""
+    ps = random_int_points(rng, 3, lim)
+    return [ps[0], ps[1], ps[2]]
 
 
 def _real_triples(rng, count, scale):
@@ -216,7 +249,7 @@ class TestDiskSide:
 
     def test_symmetric_in_disk_endpoints(self):
         rng = random.Random(11)
-        triples = [list(random_int_points(rng, 3, 2**15)) for _ in range(500)]
+        triples = [_int_triple(rng, 2**15) for _ in range(500)]
         for p, q, r in triples + _real_triples(rng, 500, 1e3):
             assert _side(p, q, r) == _side(q, p, r)
             assert _free(p, q, r) == _free(p, r, q)
@@ -267,7 +300,7 @@ class TestDiskSide:
         # the literal disk test against outside_disk, and the labels it
         # gives against conflict_kind's, on all three sides
         rng = random.Random(47)
-        triples = [list(random_int_points(rng, 3, 2**20)) for _ in range(1000)]
+        triples = [_int_triple(rng, 2**20) for _ in range(1000)]
         sides = set()
         for p, q, r in triples + _real_triples(rng, 1000, 1e6):
             sides.add(side := disk_side(p, q, r))
@@ -455,8 +488,8 @@ class TestClassify:
             ps = PointSet.of(list(zip(xs, ys)))
             base = classify(ps)
             assert base.kind in swaps_x
-            refl_x = classify(PointSet.of([(p.x, -p.y) for p in ps]))
-            refl_y = classify(PointSet.of([(-p.x, p.y) for p in ps]))
+            refl_x = classify(PointSet.of(list(zip(xs, [-y for y in ys]))))
+            refl_y = classify(PointSet.of(list(zip([-x for x in xs], ys))))
             assert refl_x.kind is swaps_x[base.kind]
             assert refl_y.kind is swaps_y[base.kind]
             assert refl_x.strict == refl_y.strict == base.strict

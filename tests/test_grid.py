@@ -245,7 +245,7 @@ class TestBuild:
         params = GridParams(g=30)
         graph, _ = build(params)
         g = params.g
-        coords = {(p.x, p.y) for p in graph.points}
+        coords = set(zip(graph.points.xs.tolist(), graph.points.ys.tolist()))
         assert coords == {(x, y) for x in range(g) for y in range(g)}
         edge_set = {
             ((graph.points[i].x, graph.points[i].y),

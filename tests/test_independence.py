@@ -136,6 +136,13 @@ class TestNeighborhoodColoring:
         assert list(colors.items()) == [(0, 0), (1, 1), (2, 2), (3, 3), (5, 0)]
         assert list(neighborhood_coloring(g, 0).items()) == [(0, 0), (1, 1), (2, 2), (3, 3), (6, 1)]
 
+    @pytest.mark.parametrize("u", [-1, -6, 6, 10**9])
+    def test_vertex_out_of_range_rejected(self, u):
+        # -1 would colour N(5) under the key -1, and 6 would raise IndexError
+        g = circle_cycle(6).graph
+        with pytest.raises(ValueError, match=rf"^vertex {u} is out of range \[0, n = 6\)$"):
+            neighborhood_coloring(g, u)
+
     def test_rejects_dense_neighborhood(self):
         # K5 on points in convex position is far from locally Gabriel
         ps = PointSet.of([(0, 0), (10, 0), (13, 7), (5, 12), (-3, 7)])

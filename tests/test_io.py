@@ -5,12 +5,14 @@ import io
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_int_points
+from reference import parse_points_csv_direct
 from lgg.geometry import (
     DEFAULT_EPSILON,
     MAX_EXACT_COORD,
@@ -39,7 +41,7 @@ class TestPointsCsv:
     def test_integer_points(self):
         ps = parse_points_csv("0,0\n3, 4\n# comment\n\n10,-2  # trailing\n")
         assert ps.is_exact
-        assert [(p.x, p.y) for p in ps] == [(0, 0), (3, 4), (10, -2)]
+        assert (ps.xs.tolist(), ps.ys.tolist()) == ([0, 3, 10], [0, 4, -2])
 
     def test_real_mode_switch(self):
         ps = parse_points_csv("0,0\n1.5,2\n")
@@ -67,6 +69,59 @@ class TestPointsCsv:
         with pytest.raises(FormatError, match=r"^line 2: duplicates line 1 "):
             parse_points_csv("0.0,0.0\n-0.0,0.0\n")
 
+    @pytest.mark.parametrize("text", [
+        "0,0\n3, 4\n# comment\n\n10,-2  # trailing\n",
+        "# x,y\n0,5\n1,3\n",
+        "0,0\n1.5,2\n",  # one decimal point switches the file to real mode
+        "1e3,0\n2,1\n",
+        "-1E-3,0\n0,0\n",
+        "", "# only a comment\n\n",
+        "a,b\n", "0,0\n1,2,3\n", "0,0\n1_0,2\n", "0,0\n\u0661,2\n", "0,0\n1.5.2,0\n",
+        "\ufeff0,0\n1,1\n",  # a byte-order mark inside the text is not skipped
+        "0,0\n1073741825,0\n", "0,0\n0,-1073741825\n", "0,0\n9223372036854775807,0\n",
+        "0,0\n-9223372036854775808,0\n",
+        "0,0\n1e300,0.5\n", "0,1e-200\n1,1\n", "nan,1.0\n2.0,3.0\n", "0,-inf\n1,1\n",
+        "0,0\n1,1\n0,0\n", "# header\n0,0\n\n1,1\n0,0\n", "0.0,0.0\n-0.0,0.0\n",
+        "0.0,-0.0\n1,1\n2,2\n-0.0,0.0  # again\n", "5,5\n1,1\n2,2\n1,1\n5,5\n",
+    ])
+    def test_matches_the_row_by_row_reference(self, tmp_path, text):
+        # one fault per file: with several, the reader reports a bad number
+        # first, then a point out of range, then a duplicate
+        def outcome(parse, *args):
+            try:
+                return parse(*args)
+            except FormatError as exc:
+                return str(exc)
+
+        want = outcome(parse_points_csv_direct, text)
+        assert outcome(parse_points_csv, text) == want
+        path = tmp_path / "marked.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        direct = outcome(lgg.io._in_file, str(path), parse_points_csv_direct)
+        assert outcome(load_points, str(path)) == direct
+
+    def test_several_faults_report_a_bad_number_then_a_range_then_a_duplicate(self):
+        text = "0,0\n0,0\n1,2000000000\n1,x\n"
+        for want in ("line 4: invalid literal for int() with base 10: 'x'",
+                     "line 3: exact coordinate magnitude exceeds 1073741824 (1, 2000000000)",
+                     "line 2: duplicates line 1 (0, 0)"):
+            with pytest.raises(FormatError) as err:
+                parse_points_csv(text)
+            assert str(err.value) == want
+            text = text.rsplit("\n", 2)[0] + "\n"  # drop the last line
+
+    @pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809",
+                                       "1" + "0" * 30])
+    def test_int64_overflow_wording(self, value):
+        # the one wording that differs from the row-by-row reader's, which
+        # reads "exact coordinate magnitude exceeds 1073741824 (...)"
+        text = f"0,0\n# c\n1,{value}\n"
+        old = rf"^line 3: exact coordinate magnitude exceeds 1073741824 \(1, {value}\)$"
+        with pytest.raises(FormatError, match=old):
+            parse_points_csv_direct(text)
+        with pytest.raises(FormatError, match=rf"^line 3: \(1, {value}\) out of range$"):
+            parse_points_csv(text)
+
 
 class TestGraphJson:
     def test_round_trip_exact(self):
@@ -80,7 +135,7 @@ class TestGraphJson:
         ps = PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)
         g = Graph(ps, ((0, 1),))
         back = graph_from_json(graph_to_json(g))
-        assert [(p.x, p.y, p.eps) for p in back.points] == [
+        assert [back.points[0], back.points[1]] == [
             (0.5, 1.5, 1e-9),
             (2.0, 3.0, 1e-9),
         ]
@@ -391,7 +446,7 @@ class TestCompactReader:
         text = ('{"edges":[[0,1]],"meta":{"epsilon":0.0},"points":[[0,0]],'
                 '"points":[[1,1],[2,5]]}')
         g = graph_from_json(text)
-        assert [(p.x, p.y) for p in g.points] == [(1, 1), (2, 5)]
+        assert [g.points[0], g.points[1]] == [(1, 1, 0.0), (2, 5, 0.0)]
         assert _outcome(text) == _general(text)
 
     @pytest.mark.parametrize("tail", ["", "\n", "\r\n", "   ", " \t\n\r\n"])
@@ -564,6 +619,14 @@ class TestSvg:
         g = Graph(ps, ((0, 1),))
         svg = graph_to_svg(g, disk_edge=(0, 1))
         assert svg.count("<circle") == 4  # 3 vertices + the disk
+
+    @pytest.mark.parametrize("disk", [(-1, 2), (2, 2), (0, 3), (0, 9), (1,), (0, 1, 2), (0, 1, 1)])
+    def test_disk_edge_not_two_vertices_rejected(self, disk):
+        # -1 would draw the disk of the last vertex, (2, 2) one of radius 0
+        g = Graph(PointSet.of([(0, 0), (10, 0), (10, 10)]), ((0, 1),))
+        message = rf"^disk edge {re.escape(str(disk))}: not two of 3 vertices$"
+        with pytest.raises(ValueError, match=message):
+            graph_to_svg(g, disk)
 
     def test_coordinates_at_the_real_bound(self):
         lim = MAX_REAL_COORD

@@ -81,14 +81,6 @@ def fit_exponent(samples: Sequence[ScalingSample]) -> FitResult:
     return FitResult(slope, intercept, r2)
 
 
-def _write_out(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _int_flag(flag: str, text: str) -> int:
     """An integer flag value read as a points CSV number; else a usage error."""
     if io.is_ascii_number(text):
@@ -108,45 +100,34 @@ def _grid_params(flag: str, side: int, mode: str) -> grid.GridParams:
         raise io.FormatError(f"bad grid parameters for {flag} {side}: {exc}") from exc
 
 
-_CONVEX = {
-    "fan": convex.half_convex_fan,
-    "cycle": convex.circle_cycle,
-    "ladder": convex.centrally_symmetric_ladder,
-}
-
-
-def _convex(kind: str, n: int) -> convex.Construction:
-    """A fan, cycle or ladder; a bad --n is a usage error."""
-    try:
-        return _CONVEX[kind](n)
-    except convex.ConstructionError as exc:
-        raise io.FormatError(f"bad {kind} parameters --n {n}: {exc}") from exc
-
-
-def _cmd_construct(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "grid":
-        params = _grid_params("--side", _int_flag("--side", args.side), args.mode)
-        g, stats = grid.build(params)
-        meta = {
-            "generator": "grid",
-            "parameters": {
-                "side": params.g,
-                "mode": args.mode,
-                "theta0": params.theta0,
-                "c1": params.c1,
-            },
-        }
-        _write_out(io.graph_to_json(g, meta), args.output)
-        print(f"n={g.n} edges={stats.total_edges}", file=sys.stderr)
-        return 0
-    if kind == "path":
-        cons = convex.monotonic_path(io.load_points(args.points))
-    else:
-        cons = _convex(kind, _int_flag("--n", args.n))
-    meta = {"generator": cons.name, "parameters": {"n": len(cons.points)}}
-    _write_out(io.graph_to_json(cons.graph, meta), args.output)
+def _cmd_grid(args: argparse.Namespace) -> int:
+    params = _grid_params("--side", _int_flag("--side", args.side), args.mode)
+    g, stats = grid.build(params)
+    meta = {"generator": "grid", "parameters": {
+        "side": params.g, "mode": args.mode, "theta0": params.theta0, "c1": params.c1}}
+    io.save_graph(g, args.output, meta)
+    print(f"n={g.n} edges={stats.total_edges}", file=sys.stderr)
     return 0
+
+
+def _save(cons: convex.Construction, path: str | None) -> int:
+    meta = {"generator": cons.name, "parameters": {"n": len(cons.points)}}
+    io.save_graph(cons.graph, path, meta)
+    return 0
+
+
+def _cmd_path(args: argparse.Namespace) -> int:
+    return _save(convex.monotonic_path(io.load_points(args.points)), args.output)
+
+
+def _cmd_convex(args: argparse.Namespace) -> int:
+    """A fan, cycle or ladder from ``args.build``; a bad --n is a usage error."""
+    n = _int_flag("--n", args.n)
+    try:
+        cons = args.build(n)
+    except convex.ConstructionError as exc:
+        raise io.FormatError(f"bad {args.kind} parameters --n {n}: {exc}") from exc
+    return _save(cons, args.output)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -202,22 +183,25 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         f"# fit: slope={fit.slope!r} intercept={fit.intercept!r} "
         f"r_squared={fit.r_squared!r}"
     )
-    _write_out("\n".join(lines) + "\n", args.output)
+    io.write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_emit_svg(args: argparse.Namespace) -> int:
     g = io.load_graph(args.graph)
-    disk = [_int_flag("--disk", t) for t in args.disk.split(",")] if args.disk else None
+    disk = None
+    if args.disk is not None:  # --disk= is a bad integer, not no disk
+        disk = [_int_flag("--disk", t) for t in args.disk.split(",")]
     try:
         svg = io.graph_to_svg(g, disk)
     except ValueError as exc:  # not two vertices of g: a usage error
         raise io.FormatError(f"--disk: {exc}") from exc
-    _write_out(svg, args.output)
+    io.write_text(svg, args.output)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lgg`` parser; each leaf subcommand sets ``run``, its handler."""
     top = argparse.ArgumentParser(
         prog="lgg", description="locally Gabriel graph toolkit"
     )
@@ -228,32 +212,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     cg = kinds.add_parser("grid", help="dense grid construction")
     cg.add_argument("--side", required=True, help="grid side g (n = g*g)")
+    cg.set_defaults(run=_cmd_grid)
 
     cp = kinds.add_parser("path", help="path on a strictly monotonic set")
     cp.add_argument("--points", required=True, help="points CSV file")
+    cp.set_defaults(run=_cmd_path)
 
-    for name, hlp in (
-        ("fan", "quarter-circle star plus path (2n-3 edges)"),
-        ("cycle", "cycle on a circle (n edges)"),
-        ("ladder", "centrally symmetric two-line construction"),
+    for name, hlp, build in (
+        ("fan", "quarter-circle star plus path (2n-3 edges)", convex.half_convex_fan),
+        ("cycle", "cycle on a circle (n edges)", convex.circle_cycle),
+        ("ladder", "centrally symmetric two-line construction",
+         convex.centrally_symmetric_ladder),
     ):
         k = kinds.add_parser(name, help=hlp)
         k.add_argument("--n", required=True)
+        k.set_defaults(run=_cmd_convex, build=build)
     for k in kinds.choices.values():
         k.add_argument("-o", "--output", default=None, help="output graph JSON")
 
     v = sub.add_parser("verify", help="check the locally Gabriel condition")
     v.add_argument("graph", help="graph JSON file")
+    v.set_defaults(run=_cmd_verify)
 
     e = sub.add_parser("extremal", help="exact maximum LGG on a small point set")
     e.add_argument("--points", required=True)
+    e.set_defaults(run=_cmd_extremal)
 
     i = sub.add_parser("indepset", help="independent set of a valid LGG")
     i.add_argument("graph")
+    i.set_defaults(run=_cmd_indepset)
 
     s = sub.add_parser("scaling", help="edge counts and log-log fit over grid sizes")
     s.add_argument("--sides", required=True, help="comma-separated grid sides")
     s.add_argument("-o", "--output", default=None)
+    s.set_defaults(run=_cmd_scaling)
     for k in (cg, s):
         k.add_argument("--mode", choices=["greedy", "analysis"], default="greedy")
 
@@ -261,25 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("graph")
     g.add_argument("--disk", default=None, help="i,j: draw that edge's disk")
     g.add_argument("-o", "--output", default=None)
+    g.set_defaults(run=_cmd_emit_svg)
 
     return top
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "extremal": _cmd_extremal,
-    "indepset": _cmd_indepset,
-    "scaling": _cmd_scaling,
-    "emit-svg": _cmd_emit_svg,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (io.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

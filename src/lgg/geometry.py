@@ -54,7 +54,7 @@ class CoordinateKindError(TypeError, ValueError):
 
 
 def _in_range(xs, ys, eps: float, exact: bool):
-    """Which points (scalars or arrays) lie in their kind's range, and the rule."""
+    """Which points of the arrays xs, ys lie in their kind's range, and the rule."""
     if exact:
         if eps != 0.0:
             raise ValueError("exact points carry eps = 0")

@@ -5,7 +5,8 @@ scripts' digits) per line with optional ``#`` comments.  Integer
 coordinates are parsed exactly; a decimal point or exponent anywhere
 in the file switches the whole file to real mode with the tolerance
 ``geometry.DEFAULT_EPSILON``.  Both readers skip a leading UTF-8 byte-order
-mark.  An SVG is always ``SVG_WIDTH`` pixels wide.
+mark.  An SVG is always ``SVG_WIDTH`` pixels wide.  Every file the package
+reads or writes is opened here; ``write_text`` writes None or ``-`` to stdout.
 
 Graph JSON is an object with ``points`` (array of [x, y]), ``edges``
 (array of [i, j], i < j, lexicographically sorted) and ``meta``
@@ -89,6 +90,7 @@ def is_ascii_number(text: str) -> bool:
 
 
 def parse_points_csv(text: str) -> PointSet:
+    """The point set of a points CSV text; an error names the line at fault."""
     rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -118,6 +120,7 @@ def parse_points_csv(text: str) -> PointSet:
 
 
 def load_points(path: str) -> PointSet:
+    """The point set of the points CSV file ``path``; errors name the file."""
     return _in_file(path, parse_points_csv)
 
 
@@ -302,12 +305,22 @@ def graph_from_json(text: str) -> Graph:
     return _build(Graph, ps, edges)
 
 
-def save_graph(g: Graph, path: str, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_json(g, meta))
+def write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path`` in UTF-8; None or ``-`` is stdout."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def save_graph(g: Graph, path: str | None, meta: dict | None = None) -> None:
+    """Write ``graph_to_json(g, meta)`` with ``write_text``; None or ``-`` is stdout."""
+    write_text(graph_to_json(g, meta), path)
 
 
 def load_graph(path: str) -> Graph:
+    """The graph of the graph JSON file ``path``; errors name the file."""
     return _in_file(path, graph_from_json)
 
 

@@ -250,6 +250,39 @@ class TestEmitSvg:
         assert capsys.readouterr().err == (
             f"error: --disk: disk edge {edge}: not two of 6 vertices\n")
 
+    def test_empty_disk_exits_2(self, tmp_path, capsys):
+        # an empty value is a bad integer, as in --disk=0, and not an absent flag
+        g = tmp_path / "g.json"
+        run(["construct", "cycle", "--n", "6", "-o", str(g)])
+        capsys.readouterr()
+        assert run(["emit-svg", str(g), "--disk="]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --disk expects an ASCII decimal integer, got ''\n")
+
+
+class TestStdout:
+    """``-o -`` and no ``-o`` print exactly the bytes that ``-o FILE`` writes."""
+
+    @pytest.mark.parametrize("args", [
+        ["construct", "grid", "--side", "30"],
+        ["construct", "path", "--points", "{pts}"],
+        ["construct", "fan", "--n", "9"],
+        ["construct", "cycle", "--n", "9"],
+        ["construct", "ladder", "--n", "16"],
+        ["scaling", "--sides", "12,18,24"],
+        ["emit-svg", "{graph}", "--disk", "0,1"],
+    ], ids=["grid", "path", "fan", "cycle", "ladder", "scaling", "emit-svg"])
+    def test_same_bytes_as_file(self, tmp_path, capfdbinary, args):
+        pts, graph, out = tmp_path / "pts.csv", tmp_path / "g.json", tmp_path / "out"
+        pts.write_text(MONOTONE_CSV)
+        run(["construct", "cycle", "--n", "6", "-o", str(graph)])
+        args = [a.format(pts=pts, graph=graph) for a in args]
+        assert run(args + ["-o", str(out)]) == 0
+        assert capfdbinary.readouterr().out == b""
+        for to_stdout in (["-o", "-"], []):
+            assert run(args + to_stdout) == 0
+            assert capfdbinary.readouterr().out == out.read_bytes()
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):

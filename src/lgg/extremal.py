@@ -18,9 +18,9 @@ by ascending conflict degree, with two bounds:
   node is pruned when ``floor(sum_s cover_s / 2)`` is below the need.
 
 A node tests the cheap colour bound first and the star-degree bound only
-if it survives.  Each node hands its per-star pairs ``(avail & star,
-cover_s)`` to its children, and a child covers again only the stars whose
-available candidates differ from its parent's.
+if it survives.  One memo per call maps a star's available candidates to
+their cover, so a node covers only the candidate sets that no earlier node
+of the call (parent, sibling, decision search or fixing pass) has covered.
 
 Decision searches for one more edge than the best set so far give the
 maximum.  A fixing pass then walks the candidates in index order and takes
@@ -30,6 +30,7 @@ witness is the lexicographically least maximum set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +129,11 @@ def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
         stars[i] |= 1 << pos[a]
         stars[j] |= 1 << pos[a]
     nodes = 0
+    # the cover of a star's available candidates, kept for the whole call
+    cover = functools.cache(lambda here: len(_cliques(adj, here)))
 
-    def find(avail: int, k: int, covers: list[tuple[int, int]]) -> list[int] | None:
-        """The first independent set of ``k`` vertices of ``avail`` found, or None.
-
-        ``covers`` holds the parent's ``(avail & star, cover)`` per star.
-        """
+    def find(avail: int, k: int) -> list[int] | None:
+        """The first independent set of ``k`` vertices of ``avail`` found, or None."""
         nonlocal nodes
         nodes += 1
         if k <= 0:
@@ -146,14 +146,7 @@ def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
             return None
         # star-degree bound: a set takes at most cover(star) candidates at
         # each point, and every candidate lies in two stars
-        mine, total = [], 0
-        for star, (seen, cover) in zip(stars, covers):
-            here = avail & star
-            if here != seen:
-                cover = len(_cliques(adj, here))
-            mine.append((here, cover))
-            total += cover
-        if total // 2 < k:
+        if sum(cover(avail & star) for star in stars) // 2 < k:
             return None
         # branch from the last clique back, take before drop
         for c in range(len(cliques), k - 1, -1):
@@ -162,16 +155,15 @@ def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
                 v = clique.bit_length() - 1
                 clique ^= 1 << v
                 avail ^= 1 << v
-                rest = find(avail & ~adj[v], k - 1, mine)
+                rest = find(avail & ~adj[v], k - 1)
                 if rest is not None:
                     rest.append(v)
                     return rest
         return None
 
-    fresh = [(-1, 0)] * len(stars)  # no star's cover is known yet
     full = (1 << m) - 1
     incumbent = need = 0  # the best set so far (bitset) and its size
-    while (found := find(full, need + 1, fresh)) is not None:
+    while (found := find(full, need + 1)) is not None:
         incumbent = sum(1 << v for v in found)
         for v in range(m):  # extend to a maximal set
             if not adj[v] & incumbent:
@@ -186,13 +178,16 @@ def max_independent_candidates(cg: ConflictGraph) -> tuple[list[int], int]:
             continue
         avail ^= 1 << v
         if not incumbent >> v & 1:
-            found = find(avail & ~adj[v], need - 1, fresh)
+            found = find(avail & ~adj[v], need - 1)
             if found is None:
                 continue
             incumbent = sum(1 << u for u in found)
         taken.append(a)
         avail &= ~adj[v]
         need -= 1
+    # ``find`` refers to itself, so the memo would outlive the call until the
+    # next garbage collection
+    cover.cache_clear()
     return taken, nodes
 
 

@@ -11,8 +11,10 @@ The central predicate is the diametral-disk test: a point ``r`` lies in the
 closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``;
 ``outside_disk`` is the one disk test.  Edges (p, q) and (p, r) coexist in
 a locally Gabriel graph iff each of q, r lies outside the other's disk;
-``conflict_free`` is the one pair rule, which the verifier, the grid walk,
-the extremal conflict graph and ``conflict_kind`` all decide with.  Both
+``conflict_free`` is the one pair rule: the verifier's ragged pass, the
+generator's rounds, the extremal conflict graph and ``conflict_kind`` call
+it, the verifier's angular pass and the generator's row narrowing write its
+disk tests inline, and the grid is certified through the verifier.  Both
 take Python numbers or arrays; ``conflict_kind`` is the one predicate on
 ``Point`` objects, for classifying a single pair of edges.
 

@@ -187,6 +187,7 @@ def _by_angle(xs, ys, indptr, indices) -> np.ndarray:
         good = (half < half[nxt]) | ((half == half[nxt]) & (ax * by >= ay * bx))
         good[last] = True
         # the pair test, u-relative: conflict_free(u, v, w) term for term
+        # (a call decides alike, but costs about 1 ms per verify at g = 300)
         good &= outside_disk(ax, ay, ax - bx, ay - by)
         good &= outside_disk(bx, by, bx - ax, by - ay)
         ok[u[~good]] = False

@@ -1,7 +1,9 @@
 """Exact maximum LGG search against a naive exhaustive oracle."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -149,6 +151,24 @@ class TestMaxLgg:
         got = max_lgg(ps)
         assert (got.max_edges, got.nodes_explored) == (max_edges, nodes)
         assert len(got.witness.edges) == max_edges and verify(got.witness).valid
+
+    def test_search_memo_freed_on_return(self):
+        # the 14-point lattice set that the benchmark runs first; its search
+        # covers thousands of star sets, which must not stay allocated while
+        # no garbage collection runs
+        lattice = [(x, y) for x in range(16) for y in range(16)]
+        ps = PointSet.of(sorted(random.Random(14).sample(lattice, 14)))
+        cg = build_conflict_graph(ps)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            _, nodes = max_independent_candidates(cg)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert nodes == 3060
+        assert kept < 64 * 1024
 
     def test_two_points(self):
         got = max_lgg(PointSet.of([(0, 0), (5, 5)]))

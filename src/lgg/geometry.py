@@ -3,9 +3,9 @@
 Points carry either exact integer coordinates (all predicates are then
 decided with exact integer arithmetic) or double-precision coordinates
 tagged with a relative tolerance ``eps``.  The two kinds never mix inside
-one computation.  A ``PointSet`` stores its coordinates as two read-only
-arrays, int64 or float64, which the vectorised layers use directly, and
-validates them; ``Point`` is the plain record that ``ps[i]`` returns.
+one computation.  A ``PointSet`` checks its coordinates once and stores
+them as two read-only arrays, int64 or float64, which the vectorised layers
+use directly; ``Point`` is the plain record that ``ps[i]`` returns.
 
 The central predicate is the diametral-disk test: a point ``r`` lies in the
 closed disk with segment ``pq`` as diameter iff ``(p - r) . (q - r) <= 0``;
@@ -16,7 +16,7 @@ generator's rounds, the extremal conflict graph and ``conflict_kind`` call
 it, the verifier's angular pass and the generator's row narrowing write its
 disk tests inline, and the grid is certified through the verifier.  Both
 take Python numbers or arrays; ``conflict_kind`` is the one predicate on
-``Point`` objects, for classifying a single pair of edges.
+``Point`` objects, for classifying one pair of edges of one eps.
 
 ``classify`` names the paper's point classes in O(n log n) with one formula
 per class: exact for integer points, banded for real points.
@@ -56,7 +56,8 @@ class CoordinateKindError(TypeError, ValueError):
 
 
 def _in_range(xs, ys, eps: float, exact: bool):
-    """Which points of the arrays xs, ys lie in their kind's range, and the rule."""
+    """Which points of xs, ys lie in their kind's range, and the rule: int64
+    or float64 arrays and Python scalars decide alike."""
     if exact:
         if eps != 0.0:
             raise ValueError("exact points carry eps = 0")
@@ -79,17 +80,12 @@ class Point(NamedTuple):
     eps: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
 class PointSet:
     """Distinct points of one kind and eps, as read-only int64 or float64 arrays:
-    the one point validator.  ``ps[i]`` builds one ``Point``."""
+    the one point validator, checked and stored once.  ``ps[i]`` is a ``Point``."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-    eps: float = 0.0
-
-    def __post_init__(self) -> None:
-        xs, ys, eps = np.array(self.xs), np.array(self.ys), float(self.eps)
+    def __init__(self, xs, ys, eps: float = 0.0) -> None:
+        xs, ys, eps = np.array(xs), np.array(ys), float(eps)
         if xs.ndim != 1 or xs.shape != ys.shape:
             shapes = f"{xs.shape} and {ys.shape}"
             raise ValueError(f"coordinates must be 1-D and of one length: {shapes}")
@@ -111,9 +107,10 @@ class PointSet:
             j = int(np.flatnonzero((xs == xs[i]) & (ys == ys[i]))[0])
             raise ValueError(f"point {i} duplicates point {j} {key}")
         xs.flags.writeable = ys.flags.writeable = False
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "eps", eps)
+        vars(self).update(xs=xs, ys=ys, eps=eps)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"PointSet is immutable; cannot set {name!r}")
 
     @classmethod
     def of(cls, coords: list | tuple, eps: float = 0.0) -> "PointSet":
@@ -230,21 +227,23 @@ def conflict_kind(p: Point, q: Point, r: Point) -> str | None:
 
     Returns ``"interior"`` when one endpoint lies strictly inside the other
     edge's diametral disk, ``"boundary"`` when the sharpest containment is
-    on the boundary, and ``None`` when the edges do not conflict.  Points
-    of mixed kinds raise ``CoordinateKindError``, and two coincident
-    points, or one that ``PointSet`` would reject, ``ValueError``.
+    on the boundary, and ``None`` when the edges do not conflict.  The points
+    must be what one ``PointSet`` holds: mixed kinds raise ``CoordinateKindError``,
+    and points of two eps, coincident points or a point out of range ``ValueError``.
     """
-    if len({type(p.x), type(q.x), type(r.x)}) > 1:
+    coords = (p.x, p.y, q.x, q.y, r.x, r.y)
+    if (kinds := set(map(type, coords))) not in ({int}, {float}):
         raise CoordinateKindError("predicate arguments mix coordinate kinds")
-    pairs = [(p.x, p.y), (q.x, q.y), (r.x, r.y)]
-    if len(set(pairs)) < 3:
-        raise ValueError("conflict_kind takes three distinct points")
-    for eps in {p.eps, q.eps, r.eps}:  # PointSet's kind, range and eps checks
-        PointSet.of(pairs, eps)
-    args = (*chain.from_iterable(pairs), max(p.eps, q.eps, r.eps))
-    if conflict_free(*args):
+    pairs = {coords[:2], coords[2:4], coords[4:]}  # -0.0 equals 0.0, as in PointSet
+    if len(pairs) < 3 or len({p.eps, q.eps, r.eps}) > 1:
+        raise ValueError("conflict_kind takes three distinct points of one eps")
+    for k, t in enumerate((p, q, r)):
+        ok, problem = _in_range(t.x, t.y, p.eps, int in kinds)
+        if not ok:
+            raise ValueError(f"point {k}: {problem} {(t.x, t.y)}")
+    if conflict_free(*coords, p.eps):
         return None
-    return INTERIOR if _interior_conflict(*args) else BOUNDARY
+    return INTERIOR if _interior_conflict(*coords, p.eps) else BOUNDARY
 
 
 # --- point-set classification -------------------------------------------

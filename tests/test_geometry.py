@@ -22,6 +22,7 @@ from lgg.geometry import (
     CoordinateKindError,
     Point,
     PointSet,
+    _in_range,
     classify,
     conflict_free,
     conflict_kind,
@@ -83,6 +84,11 @@ class TestPoint:
         # one point's eps is checked even when another's is larger
         with pytest.raises(ValueError, match="eps"):
             conflict_kind(Point(0.0, 0.0, -1e-9), Point(1.0, 0.0, 1e-9), Point(0.0, 1.0))
+        # three valid real points of different eps are not one PointSet
+        with pytest.raises(ValueError, match="eps"):
+            conflict_kind(
+                Point(0.0, 0.0, 1e-9), Point(1.0, 0.0, 2e-9), Point(0.0, 1.0, 1e-9)
+            )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -183,6 +189,35 @@ class TestPointSet:
         assert ps.xs.tolist() == [0, 1]
         with pytest.raises(ValueError):
             ps.xs[0] = 7
+        for name in ("xs", "ys", "eps", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(ps, name, None)
+        assert ps.xs.tolist() == [0, 1] and ps.eps == 0.0
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_in_range_scalars_decide_as_arrays(self, exact):
+        # conflict_kind checks Python scalars with the rule PointSet applies
+        # to its arrays: on the boundary values of each range both decide
+        # alike, and as the range is written
+        if exact:
+            values = [2**30, -(2**30), 2**30 + 1, -(2**30 + 1), 0]
+            eps, dtype = 0.0, np.int64
+
+            def fits(v):
+                return abs(v) <= 2**30
+        else:
+            values = [2.0**256, -(2.0**256), 2.0**257, -(2.0**257), 2.0**-384,
+                      2.0**-385, 5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf]
+            eps, dtype = 1e-9, np.float64
+
+            def fits(v):
+                return v == 0 or 2.0**-384 <= abs(v) <= 2.0**256
+        pairs = [(x, y) for x in values for y in values]
+        xs, ys = np.array(pairs, dtype).T
+        arrays, _ = _in_range(xs, ys, eps, exact)
+        scalars = [_in_range(x, y, eps, exact)[0] for x, y in pairs]
+        assert arrays.tolist() == scalars == [fits(x) and fits(y) for x, y in pairs]
+        assert True in scalars and False in scalars
 
     def test_points_view(self):
         ps = PointSet.of([(0.5, 1.5), (2.0, 3.0)], 1e-9)

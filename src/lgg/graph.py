@@ -16,12 +16,16 @@ the per-edge disk definition (``tests/reference.py``).
 ``random_maximal_lgg`` keeps the n x n bool matrix ``alive``, one row slab
 of candidates and one block of them: a candidate's key is a function of its
 index, made again on each pass over the slabs, never stored for all C(n, 2).
+The first pass keeps only the keys below a cut guessed before it starts,
+from C(n, 2) and the keys' uniformity, and passes again without it in the
+rare case that fewer than a block fall below; either way its block is exact.
 A block's rounds decide on the block alone, with ``conflict_free``; the rows
 of ``alive`` are narrowed only when another pass follows.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -313,19 +317,24 @@ def _narrow(alive, xs, ys, eps: float, us, vs) -> None:
         alive[v] &= outside & outside_disk(-ex, -ey, dxu, dyu, eps)
 
 
-def _next_block(alive, off, cuts, base, whole: bool) -> tuple[np.ndarray, int]:
+def _next_block(
+    alive, off, cuts, base, whole: bool, cut=None
+) -> tuple[np.ndarray, int]:
     """The ``_BLOCK`` live pairs of smallest key, in key order, and the live count.
 
     One pass over the row slabs ``cuts``.  A pair is named by its index t
     in ``np.triu_indices`` order, and its key is mix(base xor t), made
     again on each pass.  When ``whole``, every pair is live and a slab's
     keys come from one range of t; otherwise from the live cells alone.
-    The pass keeps a running top-``_BLOCK`` and, once that is full, drops
-    every key above its largest (keys are distinct).
+    The pass keeps only keys below a running cut, at first ``cut`` (with
+    None, no cut), in a running top-``_BLOCK``: once that is full, the cut
+    falls to its largest (keys are distinct).  If it ends short of
+    ``_BLOCK`` keys while more pairs were live, the given ``cut`` was too
+    low to find the block, and the pass runs again without one.
     """
     n = alive.shape[0]
     keys, ts = np.empty(0, np.uint64), np.empty(0, np.int64)
-    count, cut = 0, None
+    count = 0
     for i0, i1 in zip(cuts, cuts[1:]):
         if whole:
             t = np.arange(off[i0], off[i1])
@@ -341,7 +350,9 @@ def _next_block(alive, off, cuts, base, whole: bool) -> tuple[np.ndarray, int]:
         count += t.shape[0]
         k = _mix(t.view(np.uint64) ^ base)
         if cut is not None:
-            small = k < cut
+            # a gather at the kept positions, not two boolean masks: at a
+            # quarter kept, a mask mispredicts and costs about 5x as much
+            small = np.flatnonzero(k < cut)
             k, t = k[small], t[small]
         if keys.shape[0]:
             k, t = np.concatenate((keys, k)), np.concatenate((ts, t))
@@ -350,6 +361,8 @@ def _next_block(alive, off, cuts, base, whole: bool) -> tuple[np.ndarray, int]:
             k, t = k[part], t[part]
             cut = k[-1]  # the kth: the largest kept
         keys, ts = k, t
+    if keys.shape[0] < min(_BLOCK, count):
+        return _next_block(alive, off, cuts, base, whole)
     return ts[np.argsort(keys)], count
 
 
@@ -373,6 +386,14 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
     all above it, and each pass counts fewer live pairs than the one
     before; one that does not raises ``RuntimeError`` rather than repeat
     its block for ever.  Returns the inserted pairs as an int64 (m, 2) array.
+
+    The first pass sees all C(n, 2) keys, which are uniform, so its cut
+    starts at ``want`` / C(n, 2) of 2**64, ``want`` = ``_BLOCK`` +
+    8 sqrt(``_BLOCK``) + 64: a slab keeps only its keys below that.  Their
+    count has a deviation of about sqrt(``want``), so it falls short of
+    ``_BLOCK`` only some 8 deviations low, and ``_next_block`` then passes
+    again without the cut; the block is exact either way.  With ``want``
+    >= C(n, 2) there is no guess.
     """
     n = xs.shape[0]
     alive = np.ones((n, n), dtype=bool)
@@ -384,10 +405,12 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
     m = max(1, round(int(off[-1]) / _STREAM_CELLS))
     starts = np.searchsorted(off, np.arange(m) * off[-1] // m, "right") - 1
     cuts = sorted({*starts.tolist(), n - 1})
+    want = _BLOCK + 8 * math.isqrt(_BLOCK) + 64
+    cut = np.uint64((want << 64) // int(off[-1])) if want < off[-1] else None
     partner = np.full(n, -1)
     taken, whole, last = [], True, float("inf")
     while True:
-        ts, count = _next_block(alive, off, cuts, base, whole)
+        ts, count = _next_block(alive, off, cuts, base, whole, cut)
         if count >= last:
             raise RuntimeError(
                 f"no progress: a pass found {count} live pairs, the one before {last}"
@@ -427,7 +450,7 @@ def _greedy(xs, ys, eps: float, base) -> np.ndarray:
         # round's vertex-disjoint edges
         for e in rounds:
             _narrow(alive, xs, ys, eps, e[:, 0], e[:, 1])
-        whole = False
+        whole, cut = False, None
 
 
 def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:
@@ -455,12 +478,18 @@ def random_maximal_lgg(ps: PointSet, seed: int) -> Graph:
     at each endpoint), one row slab of about ``_STREAM_CELLS`` candidates,
     one block of ``_BLOCK`` and the block's round edges.  No key is stored:
     a candidate's key is made again from its index on each pass over the
-    slabs that picks the next block.  The rounds test each remaining
-    candidate of the block against the new edge at each endpoint; the n
-    columns of the new edges' rows in ``alive`` are narrowed once the block
-    is decided, and only when another pass follows.  After the first block
-    few candidates are live (7,627 of 523,776 on one 1,024-point set), so a
-    handful of passes suffice, and the last block narrows no row.
+    slabs that picks the next block.  The keys are uniform and the first
+    pass sees all C(n, 2), so it keeps only those below a cut chosen before
+    it starts, a little above ``_BLOCK`` of them in expectation (Floyd &
+    Rivest's SELECT, CACM 1975).  Its block is exact when at least
+    ``_BLOCK`` keys fall below the cut; fewer do only some 8 standard
+    deviations below the mean, and then the pass runs again without it.
+    The rounds test each remaining candidate of the block against the new
+    edge at each endpoint; the n columns of the new edges' rows in
+    ``alive`` are narrowed once the block is decided, and only when another
+    pass follows.  After the first block few candidates are live (7,627 of
+    523,776 on one 1,024-point set), so a handful of passes suffice, and
+    the last block narrows no row.
     """
     n = len(ps)
     if n < 2:

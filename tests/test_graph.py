@@ -480,6 +480,65 @@ class TestRandomMaximal:
         for seed in range(2):
             assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
 
+    @pytest.mark.parametrize("n", [187, 188])
+    def test_matches_oracle_either_side_of_the_guess(self, monkeypatch, n):
+        # the first pass starts from a guessed cut only when the
+        # _BLOCK + 8 sqrt(_BLOCK) + 64 = 17,472 keys it aims to keep are
+        # fewer than C(n, 2): not at n = 187 (17,391), but at n = 188 (17,578)
+        from conftest import real_points
+
+        guesses = []
+
+        def recorded(alive, off, cuts, base, whole, cut=None):
+            if whole:
+                guesses.append(cut)
+            return next_block(alive, off, cuts, base, whole, cut)
+
+        next_block = lgg.graph._next_block
+        monkeypatch.setattr(lgg.graph, "_next_block", recorded)
+        rng = random.Random(43)
+        for ps in (random_int_points(rng, n, 10**4), real_points(rng, n)):
+            for seed in range(2):
+                guesses.clear()
+                assert random_maximal_lgg(ps, seed).edges == random_maximal_direct(ps, seed)
+                assert (guesses[0] is not None) == (n == 188)
+
+    def test_first_pass_below_a_short_cut_passes_again(self, monkeypatch):
+        # the whole pass under a cut that admits fewer than _BLOCK keys
+        # (key 0 alone, if any, or _BLOCK - 1 of them) keeps too few to
+        # know its block: it passes once more, without a cut.  Under a cut
+        # that admits exactly _BLOCK keys its block is already exact
+        from conftest import real_points
+
+        block, n, seed = lgg.graph._BLOCK, 190, 5
+        forced, passes = [], []
+
+        def forcing(alive, off, cuts, base, whole, cut=None):
+            if whole and cut is not None and forced:
+                cut = forced[0]
+            passes.append(whole)
+            return next_block(alive, off, cuts, base, whole, cut)
+
+        next_block = lgg.graph._next_block
+        monkeypatch.setattr(lgg.graph, "_next_block", forcing)
+        t = np.arange(n * (n - 1) // 2, dtype=np.uint64)
+        keys = np.sort(_mix(t ^ _mix(np.uint64(seed))))
+        assert (keys < 1).sum() < block
+        rng = random.Random(41)
+        for ps in (random_int_points(rng, n, 10**4), real_points(rng, n)):
+            want = random_maximal_direct(ps, seed)
+            forced.clear()
+            passes.clear()
+            assert random_maximal_lgg(ps, seed).edges == want
+            guessed = len(passes)
+            assert passes.count(True) == 1
+            for cut, extra in ((np.uint64(1), 1), (keys[block - 1], 1), (keys[block], 0)):
+                forced[:] = [cut]
+                passes.clear()
+                assert random_maximal_lgg(ps, seed).edges == want
+                assert len(passes) == guessed + extra
+                assert passes.count(True) == 1 + extra
+
     @pytest.mark.parametrize("block, cells", [(1, 1), (7, 50), (64, 1000)])
     def test_block_and_chunk_sizes_keep_the_result(self, monkeypatch, block, cells):
         # many block boundaries, so many passes whose running top-k cut
